@@ -66,6 +66,24 @@ class DistanceGraph:
         """Symmetric distance matrix ``matrix[u][v] = minpath_G(u, v)``."""
         return self._matrix
 
+    def row(self, node: Node) -> Dict[Node, float]:
+        """Distances from every closure terminal to one more ``node``.
+
+        The row the closure over ``terminals + [node]`` would add, looked
+        up in the same pair order and raising the same
+        :class:`DisconnectedError`.  IKMB's ΔH scan attaches one such row
+        per Steiner candidate to the round's shared N ∪ S closure
+        instead of rebuilding the closure for every candidate.
+        """
+        cache = self._cache
+        row: Dict[Node, float] = {}
+        for t in self._terminals:
+            d = cache.dist(t, node)
+            if d == INF:
+                raise DisconnectedError(t, node)
+            row[t] = d
+        return row
+
     def dist(self, u: Node, v: Node) -> float:
         if u == v:
             return 0.0

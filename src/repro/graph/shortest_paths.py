@@ -338,8 +338,15 @@ class ShortestPathCache:
 
     This is the concrete realization of the paper's complexity reductions:
     IGMST evaluates ``ΔH`` for every candidate node, and IDOM calls DOM
-    ``O(|V|·|N|)`` times — both become tractable because every call reuses
-    the same terminal-rooted shortest-path trees.
+    ``O(|V|·|N|)`` times — both become tractable once those calls share
+    shortest-path work.  Without a search policy (or under the plain
+    ``"dijkstra"`` backend) a closure lookup roots a full SSSP at the
+    queried terminal, so later calls reuse terminal-rooted trees.  Under
+    a goal-directed policy (the router's default ``"auto"``) a closure
+    lookup is a pair search until its endpoint is promoted after
+    ``PAIR_PROMOTE`` misses; IGMST therefore calls :meth:`warm` on
+    every member of N ∪ S at the start of each large ΔH round rather
+    than paying for the misses first.
 
     Limited runs (``targets``/``cutoff``) are second-class citizens: they
     live in a separate store keyed by their limits and can never answer a
@@ -356,7 +363,7 @@ class ShortestPathCache:
       maps are *never* stored where plain-Dijkstra results live: the
       partial-store key carries the kernel name, and A*/bidirectional
       results are reduced to bare floats.  An endpoint that keeps
-      missing (``_PAIR_PROMOTE`` kernel computes) is promoted to a full
+      missing (``PAIR_PROMOTE`` kernel computes) is promoted to a full
       SSSP so closure-style workloads never do worse than the plain
       backend.
     * :meth:`path` becomes *canonically source-rooted*: the path is
@@ -377,7 +384,8 @@ class ShortestPathCache:
     """
 
     #: pair-query misses per endpoint before promoting it to a full SSSP
-    _PAIR_PROMOTE = 8
+    #: (IGMST warms a ΔH round's members up front at this many candidates)
+    PAIR_PROMOTE = 8
 
     def __init__(self, graph: Graph, search=None):
         self._graph = graph
@@ -647,9 +655,9 @@ class ShortestPathCache:
         self._pair_misses[source] = nu
         nv = self._pair_misses.get(target, 0) + 1
         self._pair_misses[target] = nv
-        if nu >= self._PAIR_PROMOTE:
+        if nu >= self.PAIR_PROMOTE:
             d = self.sssp(source)[0].get(target, INF)
-        elif nv >= self._PAIR_PROMOTE:
+        elif nv >= self.PAIR_PROMOTE:
             d = self.sssp(target)[0].get(source, INF)
         else:
             self.misses += 1

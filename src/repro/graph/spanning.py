@@ -15,7 +15,16 @@ after triple contractions.  Both shapes are provided here:
 from __future__ import annotations
 
 import heapq
-from typing import Dict, Hashable, Iterable, List, Optional, Sequence, Tuple
+from typing import (
+    Callable,
+    Dict,
+    Hashable,
+    Iterable,
+    List,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
 from ..errors import GraphError
 from .core import Graph
@@ -46,30 +55,48 @@ def prim_mst(
     target = graph if within is None else graph.subgraph(within)
     if target.num_nodes == 0:
         return [], 0.0
-    start = next(iter(target.nodes))
+    edges = prim_edges(
+        next(iter(target.nodes)), target.num_nodes, target.neighbor_items
+    )
+    return edges, sum(w for _, _, w in edges)
+
+
+def prim_edges(
+    start: Node,
+    size: int,
+    neighbor_items: Callable[[Node], Iterable[Tuple[Node, float]]],
+) -> List[Tuple[Node, Node, float]]:
+    """Prim's MST edges from ``start`` over a graph of ``size`` nodes.
+
+    ``neighbor_items(v)`` yields ``(neighbor, weight)`` pairs, so the
+    same heap order — ``(weight, push counter)`` — serves a
+    :class:`Graph` (:func:`prim_mst`) and a plain adjacency dict (KMB's
+    kernel).  Raises :class:`GraphError` if fewer than ``size`` nodes are
+    reachable.
+    """
     in_tree = {start}
     edges: List[Tuple[Node, Node, float]] = []
     counter = 0
     heap: List[Tuple[float, int, Node, Node]] = []
-    for v, w in target.neighbor_items(start):
+    for v, w in neighbor_items(start):
         counter += 1
         heapq.heappush(heap, (w, counter, start, v))
-    while heap and len(in_tree) < target.num_nodes:
+    while heap and len(in_tree) < size:
         w, _, u, v = heapq.heappop(heap)
         if v in in_tree:
             continue
         in_tree.add(v)
         edges.append((u, v, w))
-        for x, wx in target.neighbor_items(v):
+        for x, wx in neighbor_items(v):
             if x not in in_tree:
                 counter += 1
                 heapq.heappush(heap, (wx, counter, v, x))
-    if len(in_tree) != target.num_nodes:
+    if len(in_tree) != size:
         raise GraphError(
             f"graph disconnected: MST reached {len(in_tree)} of "
-            f"{target.num_nodes} nodes"
+            f"{size} nodes"
         )
-    return edges, sum(w for _, _, w in edges)
+    return edges
 
 
 class UnionFind:

@@ -11,7 +11,20 @@ Implementation notes
 --------------------
 * **Shared shortest paths.**  All ΔH evaluations run against one
   :class:`ShortestPathCache`, realizing the paper's "factoring out of H
-  common computations, such as computing shortest-paths".
+  common computations, such as computing shortest-paths".  A round that
+  scans at least ``ShortestPathCache.PAIR_PROMOTE`` candidates first
+  roots one full SSSP at every member of N ∪ S, so each candidate's
+  distances to N ∪ S — and every expansion path rooted at a member —
+  are lookups rather than goal-directed pair searches.
+* **Shared closure.**  A heuristic may supply a per-round evaluator
+  (:attr:`SteinerHeuristic.round_fn`) that builds the N ∪ S closure
+  once and costs each candidate by adding one row to it; KMB does
+  (:func:`~repro.steiner.kmb.kmb_round`).  Other heuristics fall back to
+  one ``cost_fn`` call per candidate.
+* **Two-terminal early exit.**  Any tree spanning terminals ``a`` and
+  ``b`` contains an ``a``–``b`` path, so when ``cost(H(N))`` already
+  equals ``minpath(a, b)`` no candidate can have positive ΔH and the
+  scan is skipped.
 * **Candidate strategies.**  ``candidates="all"`` is the paper-faithful
   scan of all of ``V − N``.  ``candidates="neighborhood"`` restricts the
   scan to nodes within a radius of the current tree — the practical
@@ -46,13 +59,16 @@ from ..errors import GraphError
 from ..graph.core import Graph
 from ..graph.shortest_paths import ShortestPathCache
 from ..net import Net
-from .kmb import kmb_cost, kmb_tree_graph
+from .kmb import kmb_cost, kmb_round, kmb_tree_graph
 from .tree import RoutingTree
 from .zelikovsky import zel_cost, zel_tree_graph
 
 Node = Hashable
 CostFn = Callable[[Graph, Sequence[Node], ShortestPathCache], float]
 TreeFn = Callable[[Graph, Sequence[Node], ShortestPathCache], Graph]
+RoundFn = Callable[
+    [Graph, Sequence[Node], ShortestPathCache], Callable[[Node], float]
+]
 
 
 @dataclass
@@ -62,14 +78,19 @@ class SteinerHeuristic:
     ``cost_fn`` evaluates ``cost(H(G, terminals))`` and ``tree_fn``
     materializes the tree; separating them lets ΔH screening avoid
     building throw-away tree objects where the heuristic allows it.
+    ``round_fn``, when given, maps the members N ∪ S of one scan round
+    to an evaluator ``t ↦ cost(H(G, N ∪ S ∪ {t}))`` that must equal
+    ``cost_fn`` bit for bit; it lets H share work across the round's
+    candidates.
     """
 
     name: str
     cost_fn: CostFn
     tree_fn: TreeFn
+    round_fn: Optional[RoundFn] = None
 
 
-KMB_HEURISTIC = SteinerHeuristic("KMB", kmb_cost, kmb_tree_graph)
+KMB_HEURISTIC = SteinerHeuristic("KMB", kmb_cost, kmb_tree_graph, kmb_round)
 ZEL_HEURISTIC = SteinerHeuristic("ZEL", zel_cost, zel_tree_graph)
 
 
@@ -187,22 +208,39 @@ def igmst(
     chosen: List[Node] = []
     base_cost = heuristic.cost_fn(graph, terminals, cache)
     trace = IGMSTTrace(heuristic=heuristic.name, initial_cost=base_cost)
+    # a tree spanning a and b contains an a–b path: once H(N) costs
+    # minpath(a, b), no candidate passes the gain test below
+    distinct = list(dict.fromkeys(terminals))
+    settled = (
+        len(distinct) == 2
+        and base_cost <= cache.dist(distinct[0], distinct[1]) + 1e-12
+    )
 
-    def delta(candidate: Node) -> float:
-        trial = terminals + chosen + [candidate]
-        return base_cost - heuristic.cost_fn(graph, trial, cache)
+    def evaluator() -> Callable[[Node], float]:
+        members = terminals + chosen
+        if heuristic.round_fn is not None:
+            return heuristic.round_fn(graph, members, cache)
+        return lambda t: heuristic.cost_fn(graph, members + [t], cache)
 
     active = [v for v in pool]
     while True:
         if max_steiner_nodes is not None and len(chosen) >= max_steiner_nodes:
             break
         trace.rounds += 1
-        scored: List[Tuple[float, Node]] = []
+        if settled:
+            break
         chosen_set = set(chosen)
-        for t in active:
-            if t in chosen_set:
-                continue
-            gain = delta(t)
+        todo = [t for t in active if t not in chosen_set]
+        if not todo:
+            break
+        if len(todo) >= ShortestPathCache.PAIR_PROMOTE:
+            # the scan asks every candidate for its distance to each
+            # member; rooting one SSSP per member answers all of them
+            cache.warm(terminals + chosen)
+        cost = evaluator()
+        scored: List[Tuple[float, Node]] = []
+        for t in todo:
+            gain = base_cost - cost(t)
             if gain > 1e-12:
                 scored.append((gain, t))
         if not scored:
@@ -220,12 +258,15 @@ def igmst(
                     chosen
                 ) >= max_steiner_nodes:
                     break
-                gain = delta(t)
+                if cost is None:  # S grew: re-check against the new set
+                    cost = evaluator()
+                gain = base_cost - cost(t)
                 if gain > 1e-12:
                     chosen.append(t)
                     base_cost -= gain
                     trace.steps.append((t, gain, base_cost))
                     accepted_any = True
+                    cost = None
             if not accepted_any:
                 break
 

@@ -424,7 +424,7 @@ class TestCacheKernelIsolation:
 
     def test_promotion_after_repeated_misses(self, medium_grid):
         cache = ShortestPathCache(medium_grid, search=SearchPolicy("astar"))
-        others = [(x, 9) for x in range(ShortestPathCache._PAIR_PROMOTE)]
+        others = [(x, 9) for x in range(ShortestPathCache.PAIR_PROMOTE)]
         for t in others:
             cache.dist((0, 0), t)
         # the hot endpoint got promoted to a real full SSSP
