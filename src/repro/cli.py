@@ -128,7 +128,8 @@ def _add_engine_options(
         help=(
             "graph core (RouterConfig.graph_backend): mutable dict "
             "adjacency, frozen flat CSR arrays, or auto by device size; "
-            "results are bit-identical either way"
+            "results are bit-identical either way (--mode negotiate "
+            "always searches a frozen device snapshot)"
         ),
     )
     group.add_argument(

@@ -110,9 +110,10 @@ class FaultPlan:
     corrupt_checkpoint: bool = False
     #: kill the worker while it materializes a *flat-shipped* (CSR)
     #: graph snapshot — the thaw-and-replay path of
-    #: :func:`repro.engine.worker.materialize_graph`; same eligibility
-    #: rule as ``kill_on_task`` but fires only for tasks that carry
-    #: flat arrays, so it proves the CSR shipping path recovers too
+    #: :func:`repro.engine.worker.materialize_graph`, or a PathFinder
+    #: task's device overlay; same eligibility rule as
+    #: ``kill_on_task`` but fires only for tasks that carry flat
+    #: arrays, so it proves the CSR shipping path recovers too
     kill_on_materialize: Optional[int] = None
     materialize_times: int = 1
     #: named service fault point (see :mod:`repro.service.journal` /
@@ -237,8 +238,9 @@ class FaultPlan:
 
         Called from :func:`repro.engine.worker.materialize_graph` only
         on the flat-shipping path — the moment the worker starts
-        thawing the shared CSR snapshot — so recovery is exercised
-        while the task's graph exists only as shipped arrays.
+        thawing the shared CSR snapshot — and before a PathFinder task
+        builds its overlay, so recovery is exercised while the task's
+        graph exists only as shipped arrays.
         """
         if (
             self.kill_on_materialize is not None

@@ -17,9 +17,11 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import IO, Callable, Dict, List, Optional, Union
+from typing import (
+    IO, Callable, Dict, Iterable, List, Optional, Set, Tuple, Union,
+)
 
-from ..fpga.routing_graph import RoutingResourceGraph
+from ..fpga.routing_graph import GroupKey, RoutingResourceGraph
 
 #: current trace document schema identifier
 TRACE_SCHEMA = "repro.engine/trace-v4"
@@ -42,21 +44,39 @@ HISTOGRAM_BINS = 10
 
 
 def congestion_histogram(
-    rrg: RoutingResourceGraph, bins: int = HISTOGRAM_BINS
+    rrg: RoutingResourceGraph,
+    bins: int = HISTOGRAM_BINS,
+    trees: Optional[Iterable[Iterable[Tuple]]] = None,
 ) -> Dict[str, object]:
     """Histogram of channel-span utilization over the whole device.
 
     Utilization is the fraction of a span's tracks consumed
-    (:meth:`RoutingResourceGraph.group_utilization`).  Bucket ``i``
-    counts spans with utilization in ``[i/bins, (i+1)/bins)``; fully
-    used spans land in the last bucket.
+    (:meth:`RoutingResourceGraph.group_utilization`).  PathFinder never
+    consumes the graph, so negotiation passes the routed trees' edge
+    lists as ``trees`` instead: a span's utilization is then the number
+    of distinct tracks those edges use in it ÷ W (shared tracks count
+    once).  Bucket ``i`` counts spans with utilization in
+    ``[i/bins, (i+1)/bins)``; fully used spans land in the last bucket.
     """
+    utilization = rrg.group_utilization
+    if trees is not None:
+        used: Dict[GroupKey, Set[int]] = {}
+        for edges in trees:
+            for u, v in edges:
+                info = rrg.segment_info(u, v)
+                if info is not None:
+                    used.setdefault(info.group, set()).add(info.track)
+        width = rrg.num_tracks
+
+        def utilization(group: GroupKey) -> float:
+            return len(used.get(group, ())) / width
+
     counts = [0] * bins
     total = 0.0
     peak = 0.0
     n = 0
     for group in rrg.groups():
-        u = rrg.group_utilization(group)
+        u = utilization(group)
         idx = min(int(u * bins), bins - 1)
         counts[idx] += 1
         total += u

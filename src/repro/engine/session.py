@@ -55,7 +55,7 @@ from ..fpga.architecture import Architecture
 from ..fpga.netlist import PlacedCircuit, PlacedNet
 from ..fpga.routing_graph import RoutingResourceGraph
 from ..graph.core import Graph
-from ..graph.flat import resolve_graph_backend
+from ..graph.flat import FlatGraph, resolve_graph_backend
 from ..graph.shortest_paths import (
     DijkstraCounters,
     ShortestPathCache,
@@ -581,7 +581,9 @@ class RoutingSession:
         cfg = self.config
         router = self._router
         rrg = RoutingResourceGraph(self.arch)
-        rrg.detach_all_pins()
+        # the one real freeze of the route: every net reroute searches
+        # a per-net overlay of this snapshot, never the mutable graph
+        device = rrg.device_snapshot()
         policy = router.search_policy()
         order = router._initial_order(circuit.nets)
         nets = {n.name: n.to_graph_net() for n in circuit.nets}
@@ -635,13 +637,6 @@ class RoutingSession:
                 state.tree_graphs(rrg.base_weight), nets
             )
 
-        mutations = [0]
-
-        def _mutation_hook(_version: int) -> None:
-            mutations[0] += 1
-
-        rrg.graph.add_version_hook(_mutation_hook)
-
         for iteration in range(start_iter, cfg.negotiate_iterations + 1):
             self._current_pass = iteration
             started = time.perf_counter()
@@ -651,7 +646,6 @@ class RoutingSession:
                 else None
             )
             counters_before = counters.snapshot()
-            mutations[0] = 0
             state.begin_iteration(iteration)
             # selective rip-up: after the first iteration only nets that
             # currently touch an overused junction (or were never routed)
@@ -676,7 +670,7 @@ class RoutingSession:
                     )
                     state.remove_tree(placed.name)
                     out = self._negotiate_route_one(
-                        rrg, placed, state, policy, slack
+                        device, placed, state, policy, slack
                     )
                     if out is None:
                         self._negotiation_infeasible(
@@ -688,7 +682,7 @@ class RoutingSession:
                     batch_sizes.append(1)
             else:
                 self._negotiate_chunked(
-                    circuit, targets, order, rrg, state, slack, counters,
+                    circuit, targets, order, device, state, slack, counters,
                     stats, batch_sizes, iteration, deadline, checkpoint,
                     best_overuse, stall, recorder,
                 )
@@ -718,8 +712,11 @@ class RoutingSession:
                     for k in ("calls", "heap_pops", "relaxations", "pruned")
                 },
                 cache={"hits": 0, "misses": 0, "invalidations": 0},
-                graph_mutations=mutations[0],
-                congestion=congestion_histogram(rrg),
+                # negotiation never mutates the graph
+                graph_mutations=0,
+                congestion=congestion_histogram(
+                    rrg, trees=[edges for _, edges in state.trees.values()]
+                ),
                 retries=stats["retries"],
             )
             record.negotiation = {
@@ -736,7 +733,7 @@ class RoutingSession:
             if overuse == 0:
                 routes = [
                     build_route(
-                        rrg, placed, state.trees[placed.name][1], policy
+                        rrg, device, placed, state.trees[placed.name][1]
                     )
                     for placed in circuit.nets
                 ]
@@ -806,24 +803,23 @@ class RoutingSession:
 
     def _negotiate_route_one(
         self,
-        rrg: RoutingResourceGraph,
+        device: FlatGraph,
         placed: PlacedNet,
         state: NegotiationState,
         policy,
         slack: Optional[SlackTable],
     ):
-        """Serially reroute one (ripped-up) net against live costs."""
-        cfg = self.config
+        """Serially reroute one (ripped-up) net against live costs, on
+        the net's overlay of the device snapshot."""
         net = placed.to_graph_net()
-        budget = make_budget(cfg)
+        budget = make_budget(self.config)
         previous = set_dijkstra_budget(budget) if budget else None
-        rrg.attach_pins(net.terminals)
         try:
             return route_connections(
-                rrg.graph, placed.name, net, state, policy, slack
+                device.overlay(net.terminals),
+                placed.name, net, state, policy, slack,
             )
         finally:
-            rrg.detach_pins(net.terminals)
             if budget is not None:
                 set_dijkstra_budget(previous)
 
@@ -869,7 +865,7 @@ class RoutingSession:
         circuit: PlacedCircuit,
         targets: Sequence[PlacedNet],
         order: Sequence[PlacedNet],
-        rrg: RoutingResourceGraph,
+        device: FlatGraph,
         state: NegotiationState,
         slack: Optional[SlackTable],
         counters: DijkstraCounters,
@@ -886,7 +882,10 @@ class RoutingSession:
 
         Each chunk rips up its nets, freezes the factor table, and
         reroutes the chunk concurrently against that snapshot — an
-        iteration-synchronous relaxation of serial PathFinder.  Results
+        iteration-synchronous relaxation of serial PathFinder.  Every
+        task ships the device snapshot (one object per chunk, shared by
+        the thread engine and pickled as arrays by the process engine);
+        the worker builds the net's overlay itself.  Results
         are collected in queue order, so the outcome depends only on
         the chunking, never on worker scheduling; it is valid (the
         checker still gates convergence) but not bit-identical to the
@@ -895,9 +894,6 @@ class RoutingSession:
         cfg = self.config
         supervisor = self._supervisor
         chunk_size = max(1, self.max_workers or default_workers())
-        ship_flat = (
-            resolve_graph_backend(cfg.graph_backend, rrg.graph) == "flat"
-        )
         for lo in range(0, len(targets), chunk_size):
             chunk = targets[lo:lo + chunk_size]
             self._check_deadline(
@@ -907,7 +903,6 @@ class RoutingSession:
                 state.remove_tree(placed.name)
             factors = state.sparse_factors()
             collect = supervisor.current == "process"
-            base_flat = rrg.graph.freeze().flat if ship_flat else None
             tasks: List[NegotiationTask] = []
             for placed in chunk:
                 net = placed.to_graph_net()
@@ -918,15 +913,6 @@ class RoutingSession:
                         for s in net.sinks
                         if slack.criticality(placed.name, s) > 0.0
                     }
-                if ship_flat:
-                    snapshot = None
-                    taps = {
-                        pn: rrg.pin_taps(pn) for pn in net.terminals
-                    }
-                else:
-                    snapshot = rrg.graph.copy()
-                    rrg.attach_pins(net.terminals, graph=snapshot)
-                    taps = None
                 tasks.append(
                     NegotiationTask(
                         name=placed.name,
@@ -934,9 +920,7 @@ class RoutingSession:
                         config=cfg,
                         factors=factors,
                         criticalities=crits,
-                        graph=snapshot,
-                        flat=base_flat,
-                        pin_taps=taps,
+                        device=device,
                         collect_counters=collect,
                         index=self._task_counter,
                         faults=self.faults,

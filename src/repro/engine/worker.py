@@ -135,9 +135,11 @@ class NegotiationTask:
     Shipped by the parallel PathFinder engines: a whole chunk of nets
     reroutes concurrently against the same point-in-time snapshot of
     the present × history factor table (``factors``), so the outcome of
-    the chunk is independent of worker scheduling.  Graph shipping
-    (``graph``/``flat``/``pin_taps``) and fault/counter plumbing follow
-    :class:`NetTask` exactly — :func:`materialize_graph` works on both.
+    the chunk is independent of worker scheduling.  Every task carries
+    the route's device snapshot
+    (:meth:`~repro.fpga.routing_graph.RoutingResourceGraph.device_snapshot`);
+    the worker attaches this net's pins with a per-net overlay.
+    Fault and counter plumbing follow :class:`NetTask`.
     """
 
     name: str
@@ -148,9 +150,9 @@ class NegotiationTask:
     #: sink → slack ratio for this net's connections (timing mode);
     #: empty means wirelength-only
     criticalities: Dict[Tuple, float]
-    graph: Optional[Graph] = None
-    flat: Optional[FlatGraph] = None
-    pin_taps: Optional[Dict[Tuple, List[Tuple[Tuple, float]]]] = None
+    #: the pin-free device frozen once per route, every pin appended
+    #: as an unattached terminal
+    device: FlatGraph
     collect_counters: bool = False
     index: int = 0
     faults: Optional[FaultPlan] = None
@@ -179,7 +181,11 @@ def run_negotiation_task(task: NegotiationTask) -> Dict[str, object]:
     budget = make_budget(task.config)
     previous_budget = set_dijkstra_budget(budget) if budget else None
     try:
-        graph = materialize_graph(task)
+        if task.faults is not None:
+            # die while the task's graph exists only as the shipped
+            # device snapshot, before the overlay is built
+            task.faults.inject_materialize(task.index)
+        graph = task.device.overlay(task.net.terminals)
 
         def done(payload: Dict[str, object]) -> Dict[str, object]:
             if counters is not None:
@@ -187,9 +193,7 @@ def run_negotiation_task(task: NegotiationTask) -> Dict[str, object]:
             return payload
 
         policy = SearchPolicy(
-            task.config.search,
-            heuristic_scale=task.heuristic_scale,
-            graph_backend=task.config.graph_backend,
+            task.config.search, heuristic_scale=task.heuristic_scale
         )
         provider = FrozenFactorProvider(task.factors)
         slack = (

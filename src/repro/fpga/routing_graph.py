@@ -344,6 +344,23 @@ class RoutingResourceGraph:
         """
         return self.graph.freeze()
 
+    def device_snapshot(self) -> "FlatGraph":  # noqa: F821
+        """The whole device as one frozen snapshot, for PathFinder.
+
+        Negotiation never consumes the graph, so it freezes the device
+        once per route: every pin is detached, the pin-free graph is
+        frozen through ``Graph.freeze()``, and each pin is appended as
+        a one-way terminal whose row lists its connection-block taps
+        (:meth:`FlatGraph.with_terminals`).  No junction row lists a
+        pin, so a foreign pin is unreachable; each net reroute attaches
+        its own pins with a per-net :meth:`FlatGraph.overlay`.  Lattice
+        coordinates are computed here once and shared by every overlay.
+        """
+        self.detach_all_pins()
+        device = self.graph.freeze().flat.with_terminals(self._pin_edges)
+        device.lattice_arrays()
+        return device
+
     def pin_taps(self, pin: Tuple) -> List[Tuple[Tuple, float]]:
         """The connection-block taps ``[(junction, weight), ...]`` of a
         pin, independent of which taps currently survive in the live

@@ -19,6 +19,11 @@ This module provides that representation:
 * :class:`GraphView` — a :class:`FlatGraph` stamped with the
   :attr:`Graph.version` it was frozen at.  ``Graph.freeze()`` memoizes
   one view per version, so any mutation transparently invalidates it.
+* :meth:`FlatGraph.with_terminals` / :meth:`FlatGraph.overlay` — a
+  snapshot with one-way *terminal* nodes appended (unreachable until
+  attached), and a cheap copy-on-write per-query view that attaches a
+  few of them.  PathFinder negotiation freezes the device once per
+  route this way and gives every net reroute its own overlay.
 * :func:`flat_dijkstra` / :func:`flat_astar` /
   :func:`flat_bidirectional` — search kernels over int ids whose
   returned ``(dist, pred)`` maps are **bit-identical** to
@@ -47,7 +52,8 @@ Backend selection
 ``--graph-backend`` vocabulary.  ``"auto"`` (the default) uses the flat
 core once a graph reaches :data:`FLAT_AUTO_THRESHOLD` nodes — below
 that the freeze cost outweighs the per-relaxation savings — and keeps
-the dict kernels for small graphs.
+the dict kernels for small graphs.  PathFinder negotiation is outside
+this choice: it always searches overlays of one frozen device.
 """
 
 from __future__ import annotations
@@ -213,9 +219,90 @@ class FlatGraph:
             [(index[v], float(w)) for v, w in nbrs.items()]
             for nbrs in adj.values()
         ]
-        flat = cls(nodes, None, None, None, graph.num_edges)
+        return cls._from_rows(nodes, index, rows, graph.num_edges)
+
+    @classmethod
+    def _from_rows(
+        cls,
+        nodes: List[Node],
+        index: Dict[Node, int],
+        rows: List[List[Tuple[int, float]]],
+        num_edges: int,
+    ) -> "FlatGraph":
+        flat = cls(nodes, None, None, None, num_edges)
         flat._index = index
         flat._rows = rows
+        return flat
+
+    def with_terminals(
+        self, taps: Dict[Node, Iterable[Tuple[Node, float]]]
+    ) -> "FlatGraph":
+        """A new snapshot: this one plus a one-way *terminal* per entry.
+
+        Each key of ``taps`` is appended as a node, in order, whose row
+        lists its ``(neighbor, weight)`` taps — with the semantics of
+        one :meth:`Graph.add_edge` per tap: a repeated neighbor keeps
+        its first position and takes the last weight, and a neighbor
+        absent from this snapshot is dropped.  No existing row lists a
+        terminal, so searches cannot reach one until an
+        :meth:`overlay` attaches it.  The result is ghost-free, so it
+        pickles as its arrays stand.
+        """
+        if self._num_ghosts:
+            return FlatGraph.from_graph(self.thaw()).with_terminals(taps)
+        nodes = list(self.nodes)
+        index = dict(self.index)
+        rows = list(self.rows())
+        num_edges = self.num_edges
+        for terminal, ends in taps.items():
+            if terminal in index:
+                raise GraphError(f"terminal {terminal!r} is already a node")
+            row: Dict[int, float] = {}
+            for end, w in ends:
+                j = index.get(end)
+                if j is not None:
+                    row[j] = float(w)
+            index[terminal] = len(nodes)
+            nodes.append(terminal)
+            rows.append(list(row.items()))
+            num_edges += len(row)
+        return FlatGraph._from_rows(nodes, index, rows, num_edges)
+
+    def overlay(self, terminals: Iterable[Node]) -> "FlatGraph":
+        """A per-query view of this snapshot with ``terminals`` attached.
+
+        Each terminal (see :meth:`with_terminals`) is mirrored into its
+        taps' rows: a tap's row becomes ``row + [(terminal, w)]``,
+        terminals in the given order, repeats skipped.  These are
+        exactly the rows that adding the terminals' edges to the source
+        graph and refreezing would produce, so searches break ties
+        identically.
+
+        Copy-on-write: the overlay owns its rows list and the rows it
+        patched; the node table, index and lattice coordinates are
+        shared with this snapshot, which is never modified (concurrent
+        overlays of one snapshot are safe).  Manhattan tables are
+        memoized on the overlay and die with it.
+        """
+        index = self.index
+        base = self.rows()
+        rows = list(base)
+        seen = set()
+        for terminal in terminals:
+            t = index.get(terminal)
+            if t is None:
+                raise GraphError(f"terminal {terminal!r} not in graph")
+            if t in seen:
+                continue
+            seen.add(t)
+            for j, w in base[t]:
+                row = rows[j]
+                if row is base[j]:
+                    rows[j] = row + [(t, w)]
+                else:
+                    row.append((t, w))
+        flat = FlatGraph._from_rows(self.nodes, index, rows, self.num_edges)
+        flat._coords = self._coords
         return flat
 
     def refrozen(
@@ -290,9 +377,7 @@ class FlatGraph:
                 rows[i] = [
                     (index[v], float(w)) for v, w in adj[nd].items()
                 ]
-        flat = FlatGraph(nodes, None, None, None, num_edges)
-        flat._index = index
-        flat._rows = rows
+        flat = FlatGraph._from_rows(nodes, index, rows, num_edges)
         flat._num_ghosts = ghosts
         if self._coords is not None:
             # node slots are append-only, so the lattice table carries
@@ -957,21 +1042,29 @@ def flat_negotiated_search(
 ) -> Tuple[Dict[Node, float], Dict[Node, Node]]:
     """Multi-source negotiated-cost search over the CSR arrays.
 
-    The flat counterpart of
-    :func:`repro.graph.search.negotiated_search`: edge ``(u, v)`` with
-    base weight ``w`` costs ``w * (crit + (1 - crit) * (factors[u] +
-    factors[v]) / 2)``, where ``factors`` is the cost provider's dense
-    per-id multiplier table (every entry ``>= 1``, see
-    ``SearchPolicy.negotiated_search``).  The CSR arrays themselves are
-    never touched — congestion lives entirely in ``factors``, so one
-    frozen snapshot serves every net of an iteration.
+    The PathFinder connection kernel: edge ``(u, v)`` with base weight
+    ``w`` costs ``w * (crit + (1 - crit) * (factors[u] + factors[v]) /
+    2)``, where ``factors`` is the cost provider's dense per-id
+    multiplier table (every entry ``>= 1``, see
+    ``SearchPolicy.negotiated_search``).  The rows themselves are never
+    re-weighted — congestion lives entirely in ``factors`` — so one
+    frozen device snapshot serves every net of an iteration: each net
+    searches a :meth:`FlatGraph.overlay` that attaches just its own
+    pins and shares the device's id space, and with it the factor
+    table.
 
     Seeds settle at ``g = offsets[node]`` (default 0) in the order
     given (the deterministic tie-break the negotiation loop relies on);
     the search stops once ``target`` settles.  A seeded node reachable
     more cheaply from another seed is relaxed like any node and gains a
-    ``pred`` entry.  Manhattan heuristics run through the memoized
-    per-id table like :func:`flat_astar`.
+    ``pred`` entry.  Seeding a tree node at ``offsets[node]`` is
+    equivalent to a super-source with weighted seed edges, so A*
+    exactness is unaffected.  Unrelaxed seeds carry no predecessor, so
+    walking ``pred`` back from ``target`` ends at a seed.  Manhattan
+    heuristics run through the memoized per-id table like
+    :func:`flat_astar`; with a heuristic that lower-bounds the *base*
+    distance the search is exact goal-directed A* (factors ``>= 1``
+    never undercut the base weight).
     """
     index = flat.index
     tgt = index.get(target)

@@ -48,7 +48,12 @@ from typing import Callable, Dict, Hashable, List, Optional, Sequence, Tuple
 
 from ..errors import GraphError
 from .core import Graph
-from .flat import GRAPH_BACKENDS, resolve_graph_backend
+from .flat import (
+    GRAPH_BACKENDS,
+    FlatGraph,
+    flat_negotiated_search,
+    resolve_graph_backend,
+)
 from .shortest_paths import (
     dijkstra,
     get_dijkstra_budget,
@@ -410,124 +415,6 @@ def bidirectional_dijkstra(
     return d, path
 
 
-def negotiated_search(
-    graph: Graph,
-    sources: Sequence[Node],
-    target: Node,
-    factor: Callable[[Node], float],
-    criticality: float = 0.0,
-    heuristic: Optional[Callable[[Node], float]] = None,
-    offsets: Optional[Dict[Node, float]] = None,
-) -> Tuple[Dict[Node, float], Dict[Node, Node]]:
-    """Multi-source shortest path under negotiated node costs.
-
-    The PathFinder connection kernel: every node of the current routing
-    tree is a source, and edge ``(u, v)`` with base weight ``w`` costs
-
-        w · (crit + (1 − crit) · (factor(u) + factor(v)) / 2)
-
-    — the timing blend of the base metric against the negotiated
-    congestion metric.  ``factor`` is the cost provider's per-node
-    present × history multiplier and must return values ``>= 1`` so the
-    blended cost never drops below the base weight; with ``heuristic``
-    an admissible lower bound on *base* distance to ``target``, it is
-    therefore also admissible for the blended metric, and the search is
-    exact goal-directed A*.  Without a heuristic this is plain
-    multi-source Dijkstra.  The graph itself is never mutated or
-    re-weighted — congestion lives entirely in ``factor``.
-
-    ``offsets`` seeds sources with a non-zero starting cost (default
-    ``g = 0`` for all).  Timing-driven negotiation passes
-    ``crit · tree_distance(source → seed)`` so a critical connection
-    pays for the delay already accrued at its attachment point —
-    equivalent to a super-source with weighted seed edges, so A*
-    exactness is unaffected.  A seeded node may be settled through a
-    cheaper path from another seed; its ``pred`` entry is set like any
-    relaxed node's.
-
-    Returns ``(dist, pred)`` over the settled prefix; the search stops
-    once ``target`` settles.  Unrelaxed seeds carry no predecessor, so
-    walking ``pred`` back from ``target`` ends at a seed.  Seed order
-    breaks cost ties (first seed wins), so callers must pass
-    ``sources`` in a deterministic order.
-    """
-    if not graph.has_node(target):
-        raise GraphError(f"target {target!r} not in graph")
-    if not 0.0 <= criticality <= 1.0:
-        raise GraphError(
-            f"criticality must be in [0, 1], got {criticality}"
-        )
-    crit = criticality
-    mix = (1.0 - crit) * 0.5
-    fcache: Dict[Node, float] = {}
-
-    def f(node: Node) -> float:
-        v = fcache.get(node)
-        if v is None:
-            v = factor(node)
-            if v < 1.0:
-                raise GraphError(
-                    f"cost provider returned factor {v} < 1 for "
-                    f"{node!r}; the blended metric would undercut the "
-                    f"base weight and break heuristic admissibility"
-                )
-            fcache[node] = v
-        return v
-
-    dist: Dict[Node, float] = {}
-    pred: Dict[Node, Node] = {}
-    seen: Dict[Node, float] = {}
-    heap: List[Tuple[float, int, float, Node]] = []
-    counter = 0
-    for s in sources:
-        if not graph.has_node(s):
-            raise GraphError(f"source {s!r} not in graph")
-        if s in seen:
-            continue
-        g0 = offsets.get(s, 0.0) if offsets else 0.0
-        if g0 < 0.0:
-            raise GraphError(f"negative source offset {g0} for {s!r}")
-        seen[s] = g0
-        hs = heuristic(s) if heuristic is not None else 0.0
-        heap.append((g0 + hs, counter, g0, s))
-        counter += 1
-    if not heap:
-        raise GraphError("negotiated search needs at least one source")
-    heapq.heapify(heap)
-    pops = 0
-    budget = get_dijkstra_budget()
-    while heap:
-        _, _, g, u = heapq.heappop(heap)
-        pops += 1
-        if budget is not None:
-            budget.check(pops, counter, backend="negotiate")
-        if u in dist:
-            continue
-        dist[u] = g
-        if u == target:
-            break
-        fu = f(u)
-        for v, w in graph.neighbor_items(u):
-            if v in dist:
-                continue
-            ng = g + w * (crit + mix * (fu + f(v)))
-            if v not in seen or ng < seen[v]:
-                if heuristic is not None:
-                    hv = heuristic(v)
-                    if hv == INF:
-                        continue
-                else:
-                    hv = 0.0
-                seen[v] = ng
-                pred[v] = u
-                counter += 1
-                heapq.heappush(heap, (ng + hv, counter, ng, v))
-    counters = get_dijkstra_counters()
-    if counters is not None:
-        counters.record(pops, counter, len(heap))
-    return dist, pred
-
-
 def multi_target_dijkstra(
     graph: Graph, source: Node, targets: Sequence[Node]
 ) -> Tuple[Dict[Node, float], Dict[Node, Node]]:
@@ -576,7 +463,9 @@ class SearchPolicy:
         historical dict-adjacency kernels; ``"auto"`` (default) picks
         flat once the graph is large enough to amortize the freeze.
         The flat kernels are bit-identical to the dict kernels, so
-        this switch changes throughput, never results.
+        this switch changes throughput, never results.  It does not
+        apply to :meth:`negotiated_search`, which always searches a
+        frozen snapshot.
 
     All distances computed through a policy are exact, so any backend
     may share a cache's pair-distance store; the policy's :meth:`key`
@@ -709,53 +598,47 @@ class SearchPolicy:
 
     def negotiated_search(
         self,
-        graph: Graph,
+        flat: FlatGraph,
         sources: Sequence[Node],
         target: Node,
         provider,
         criticality: float = 0.0,
         offsets: Optional[Dict[Node, float]] = None,
     ) -> Tuple[Dict[Node, float], Dict[Node, Node]]:
-        """Multi-source negotiated-cost search via the configured kernels.
+        """Multi-source negotiated-cost search over a frozen snapshot.
 
-        The PathFinder cost seam: ``provider`` supplies per-node
-        present × history multipliers — ``provider.node_factor(node)``
-        for the dict kernel, ``provider.factor_table(flat)`` (a dense
-        per-id list) for the flat kernel — and the kernels blend them
+        The PathFinder cost seam: ``provider.factor_table(flat)``
+        supplies a dense per-id list of present × history multipliers,
+        and :func:`~repro.graph.flat.flat_negotiated_search` blends it
         into the edge weights on the fly, so the graph is never
-        re-weighted per query and one frozen CSR snapshot serves every
-        net of a negotiation iteration.  Factors must be ``>= 1``: the
-        blended cost then never undercuts the base weight, which keeps
-        this policy's base-metric Manhattan heuristic admissible for
-        the goal-directed backends.
+        re-weighted per query.  The negotiation loop freezes the device
+        once per route and searches each net on a per-net
+        :meth:`~repro.graph.flat.FlatGraph.overlay` of it; every
+        overlay shares the device's id space, so one frozen snapshot
+        and one factor table serve every net of an iteration.  Factors
+        must be ``>= 1``: the blended cost then never undercuts the
+        base weight, which keeps this policy's base-metric Manhattan
+        heuristic admissible for the goal-directed backends.
 
         Backend mapping: ``"dijkstra"`` runs the plain multi-source
         kernel; ``"astar"``/``"auto"`` go goal-directed when a
-        heuristic is available; ``"bidir"`` has no multi-source
+        Manhattan bound is available (ALT landmarks index mutable
+        graphs and do not apply here); ``"bidir"`` has no multi-source
         two-frontier form and deliberately degrades to the plain
         kernel (documented in ``docs/pathfinder.md``).
         """
         heuristic = None
         if self.backend in ("astar", "auto"):
-            heuristic = self.heuristic_for(graph, target)
-        if self.graph_kernel(graph) == "flat":
-            from .flat import flat_negotiated_search
-
-            view = graph.freeze()
-            return flat_negotiated_search(
-                view.flat,
-                sources,
-                target,
-                provider.factor_table(view.flat),
-                criticality,
-                heuristic=heuristic,
-                offsets=offsets,
-            )
-        return negotiated_search(
-            graph,
+            scale = self.heuristic_scale
+            if scale is None:
+                scale = lattice_scale(flat)
+            if scale is not None:
+                heuristic = manhattan_heuristic(flat, target, scale=scale)
+        return flat_negotiated_search(
+            flat,
             sources,
             target,
-            provider.node_factor,
+            provider.factor_table(flat),
             criticality,
             heuristic=heuristic,
             offsets=offsets,

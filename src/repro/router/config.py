@@ -116,7 +116,9 @@ class RouterConfig:
         picks flat once the routing graph is large enough to amortize
         the freeze.  The flat kernels are bit-identical to the dict
         kernels — this switch changes wall-clock, never results (see
-        ``docs/graph.md``).
+        ``docs/graph.md``).  It does not affect ``mode="negotiate"``,
+        which always searches per-net overlays of one frozen device
+        snapshot (``docs/pathfinder.md``).
     mode:
         Top-level routing strategy, one of :data:`MODES`.  ``"paper"``
         (default) is the paper's rip-up-and-retry loop over disjoint

@@ -32,21 +32,32 @@ An edge's negotiated weight is ``base(u, v) · (factor(u) + factor(v))
 never below it (factors are ≥ 1), which keeps the architecture's
 Manhattan lower bound admissible for the goal-directed kernels.  The
 timing blend against per-connection slack ratios happens inside the
-kernels (see :func:`repro.graph.search.negotiated_search` and
+kernel (see :func:`repro.graph.flat.flat_negotiated_search` and
 :mod:`repro.router.timing`).
 
 Determinism
 -----------
-Negotiation has no bit-identity oracle (unlike the paper's
-arborescence modes, there is no independent definition of "the" result
-to replay against) — but a *serial* negotiation is a deterministic
-function of (circuit, architecture, config): net order is fixed, sink
-order within a net is fixed by the slack table, tree-node seed order
-breaks search ties, and history/occupancy tables are updated in sorted
-node order.  The engine checkpoints the full inter-iteration state
-(:meth:`NegotiationState.to_payload`), so resume is bit-identical.
-The independent checker (``repro.validate``) is the correctness gate
-for every converged result.
+A *serial* negotiation is a deterministic function of (circuit,
+architecture, config): net order is fixed, sink order within a net is
+fixed by the slack table, tree-node seed order breaks search ties, and
+history/occupancy tables are updated in sorted node order.  A recorded
+trajectory golden (``tests/differential/test_negotiation_trajectory.py``)
+pins the serial schedule pass by pass — negotiation blocks, Dijkstra
+counters, final trees and optimal pathlengths.  The engine checkpoints
+the full inter-iteration state (:meth:`NegotiationState.to_payload`),
+so resume is bit-identical.  The independent checker
+(``repro.validate``) is the correctness gate for every converged
+result.
+
+Graph
+-----
+Negotiation never consumes the device, so it is frozen once per route
+(:meth:`~repro.fpga.routing_graph.RoutingResourceGraph.device_snapshot`)
+and every net reroute searches a copy-on-write
+:meth:`~repro.graph.flat.FlatGraph.overlay` that attaches just that
+net's pins.  All overlays share the device's id space, which is what
+lets :class:`NegotiationState` keep one dense factor table current by
+patching it.
 """
 
 from __future__ import annotations
@@ -57,6 +68,7 @@ from ..errors import CheckpointError, GraphError
 from ..fpga.netlist import PlacedNet
 from ..fpga.routing_graph import RoutingResourceGraph
 from ..graph.core import Graph
+from ..graph.flat import FlatGraph, flat_dijkstra
 from ..graph.search import SearchPolicy
 from ..net import Net
 from .result import NetRoute, measure_route
@@ -136,9 +148,10 @@ class FrozenFactorProvider:
 class NegotiationState:
     """Occupancy, history and per-net trees across iterations.
 
-    Implements the :class:`~repro.graph.search.SearchPolicy` cost
-    provider protocol (:meth:`node_factor` / :meth:`factor_table`), so
-    it can be handed straight to ``policy.negotiated_search``.
+    Implements the cost provider protocol of
+    :meth:`~repro.graph.search.SearchPolicy.negotiated_search`
+    (:meth:`factor_table`), so it can be handed straight to
+    ``policy.negotiated_search``.
     """
 
     __slots__ = (
@@ -149,10 +162,9 @@ class NegotiationState:
         "history",
         "occupancy",
         "trees",
-        "_dirty",
         "_table",
-        "_table_flat",
-        "_table_dirty",
+        "_table_nodes",
+        "_table_index",
     )
 
     def __init__(self, config) -> None:
@@ -166,10 +178,12 @@ class NegotiationState:
         self.occupancy: Dict[Node, int] = {}
         #: net name → (ordered tree nodes, tree edges)
         self.trees: Dict[str, Tuple[List[Node], List[Tuple[Node, Node]]]] = {}
-        self._dirty = 0
+        #: the dense factor table, its id space (a snapshot's node
+        #: list) and that id space's index; None until first asked for
+        #: and after every whole-table change
         self._table: Optional[List[float]] = None
-        self._table_flat = None
-        self._table_dirty = -1
+        self._table_nodes = None
+        self._table_index: Optional[Dict[Node, int]] = None
 
     # ------------------------------------------------------------------
     # cost provider protocol
@@ -187,18 +201,22 @@ class NegotiationState:
         return present * (1.0 + (hist or 0.0))
 
     def factor_table(self, flat) -> List[float]:
-        """Dense per-id factors for the flat kernel.
+        """Dense per-id factors (``node_factor`` of every id) for the
+        flat kernel.
 
-        Memoized per (snapshot, table-state) pair: within one net's
-        multi-sink routing the graph does not mutate, so every
-        connection search reuses the same table.
+        One table per id space, keyed on ``flat.nodes``: every overlay
+        of the device snapshot shares the device's node table, so all
+        nets of a route read the same list.  It is kept current
+        incrementally — :meth:`add_tree` / :meth:`remove_tree` patch
+        the entries of the tree's junctions — and rebuilt whole only
+        after :meth:`begin_iteration` / :meth:`update_history`, which
+        change every factor: at most once per iteration.
         """
-        if (
-            self._table is not None
-            and self._table_flat is flat
-            and self._table_dirty == self._dirty
-        ):
-            return self._table
+        if self._table is None or self._table_nodes is not flat.nodes:
+            self._build_table(flat)
+        return self._table
+
+    def _build_table(self, flat) -> None:
         table = [1.0] * len(flat.nodes)
         index = flat.index
         for node in self.occupancy:
@@ -212,9 +230,21 @@ class NegotiationState:
             if i is not None:
                 table[i] = self.node_factor(node)
         self._table = table
-        self._table_flat = flat
-        self._table_dirty = self._dirty
-        return table
+        self._table_nodes = flat.nodes
+        self._table_index = index
+
+    def _patch_table(self, nodes: Sequence[Node]) -> None:
+        """Refresh the table entries of ``nodes`` after an occupancy
+        change (a no-op while there is no table)."""
+        table = self._table
+        if table is None:
+            return
+        index = self._table_index
+        for n in nodes:
+            if is_junction(n):
+                i = index.get(n)
+                if i is not None:
+                    table[i] = self.node_factor(n)
 
     def sparse_factors(self) -> Dict[Node, float]:
         """All non-unit factors (what the parallel engines ship)."""
@@ -242,7 +272,7 @@ class NegotiationState:
         for n in nodes:
             if is_junction(n):
                 occ[n] = occ.get(n, 0) + 1
-        self._dirty += 1
+        self._patch_table(nodes)
 
     def remove_tree(self, name: str) -> None:
         entry = self.trees.pop(name, None)
@@ -256,11 +286,11 @@ class NegotiationState:
                     occ.pop(n, None)
                 else:
                     occ[n] = c
-        self._dirty += 1
+        self._patch_table(entry[0])
 
     def begin_iteration(self, iteration: int) -> None:
         self.iteration = iteration
-        self._dirty += 1
+        self._table = None
 
     # ------------------------------------------------------------------
     # convergence accounting
@@ -295,7 +325,7 @@ class NegotiationState:
             hist[node] = hist.get(node, 0.0) + gain * (
                 self.occupancy[node] - 1
             )
-        self._dirty += 1
+        self._table = None
 
     def history_norm(self) -> float:
         """Σ history (summed in sorted node order — deterministic)."""
@@ -384,7 +414,7 @@ def ordered_sinks(
 
 
 def route_connections(
-    graph: Graph,
+    graph: FlatGraph,
     name: str,
     net: Net,
     provider,
@@ -393,11 +423,13 @@ def route_connections(
 ) -> Optional[Tuple[List[Node], List[Tuple[Node, Node]]]]:
     """Route one net sink-by-sink on ``graph`` under negotiated costs.
 
-    ``graph`` must contain the net's pins (already attached).  Each
-    connection runs a multi-source search seeded from every node of the
-    tree so far, so later connections reuse earlier wiring — the net's
-    own resources are never double-counted.  Wirelength-only
-    connections seed the whole tree for free (``g = 0`` everywhere); a
+    ``graph`` is a frozen snapshot with the net's pins attached — the
+    engine passes the net's overlay of the device snapshot
+    (:meth:`~repro.graph.flat.FlatGraph.overlay`).  Each connection
+    runs a multi-source search seeded from every node of the tree so
+    far, so later connections reuse earlier wiring — the net's own
+    resources are never double-counted.  Wirelength-only connections
+    seed the whole tree for free (``g = 0`` everywhere); a
     timing-driven connection seeds each tree node with
     ``crit · tree_distance(source → node)``, charging it for the delay
     already accrued at its attachment point so critical sinks attach
@@ -406,8 +438,11 @@ def route_connections(
     isolated or a sink is unreachable (statically infeasible: the
     negotiated graph is always the full pristine device).
     """
+    index = graph.index
+    rows = graph.rows()
     for pin in net.terminals:
-        if not graph.has_node(pin) or graph.degree(pin) == 0:
+        i = index.get(pin)
+        if i is None or not rows[i]:
             return None
     nodes: List[Node] = [net.source]
     node_set = {net.source}
@@ -446,22 +481,22 @@ def route_connections(
             if b not in node_set:
                 node_set.add(b)
                 nodes.append(b)
-                tree_dist[b] = tree_dist[a] + graph.weight(a, b)
+                tree_dist[b] = tree_dist[a] + graph.edge_weight(a, b)
     return nodes, edges
 
 
 def build_route(
     rrg: RoutingResourceGraph,
+    device: FlatGraph,
     placed: PlacedNet,
     edges: Sequence[Tuple[Node, Node]],
-    policy: SearchPolicy,
 ) -> NetRoute:
     """Measure a converged negotiated tree into a :class:`NetRoute`.
 
     Metrics are in base weights, like every other mode.  The optimal
     pathlengths are *true* base-graph optima (negotiation never removes
-    resources, so the pristine device with this net's pins attached is
-    exactly the routing instance) — stronger than the paper modes'
+    resources, so the net's overlay of the pristine ``device`` snapshot
+    is exactly the routing instance) — stronger than the paper modes'
     congested-path approximation.
     """
     net = placed.to_graph_net()
@@ -469,14 +504,10 @@ def build_route(
     tree.add_node(net.source)
     for u, v in edges:
         tree.add_edge(u, v, rrg.base_weight(u, v))
-    rrg.attach_pins(net.terminals)
-    try:
-        dist, _ = policy.plain_sssp(
-            rrg.graph, net.source, targets=tuple(net.sinks)
-        )
-        optimal = {s: dist[s] for s in net.sinks if s in dist}
-    finally:
-        rrg.detach_pins(net.terminals)
+    dist, _ = flat_dijkstra(
+        device.overlay(net.terminals), net.source, targets=tuple(net.sinks)
+    )
+    optimal = {s: dist[s] for s in net.sinks if s in dist}
     return measure_route(
         placed.name,
         NEGOTIATE_ALGORITHM,

@@ -7,7 +7,8 @@ they must hold over *every* input, not just the fixture circuits:
 * slack ratios live in ``[0, 1]`` and the critical-path sink sits at
   exactly ``1.0``;
 * negotiated node factors are ≥ 1, so negotiated edge weights are
-  strictly positive and never below base cost;
+  strictly positive and never below base cost, and the incrementally
+  patched dense factor table always equals ``node_factor`` per id;
 * a congestion-free circuit converges in exactly one iteration with a
   checker-valid Steiner tree per net.
 
@@ -59,8 +60,12 @@ def junction(rng):
             rng.randrange(4), rng.randrange(4))
 
 
-def random_state(rng, iterations=None):
-    """A NegotiationState taken through a random usage history."""
+def random_state(rng, iterations=None, on_step=None):
+    """A NegotiationState taken through a random usage history.
+
+    ``on_step(state)`` runs after every add, remove, ``begin_iteration``
+    and ``update_history``.
+    """
     cfg = RouterConfig(
         mode="negotiate",
         negotiate_present_factor=rng.choice([0.1, 0.5, 2.0]),
@@ -68,20 +73,28 @@ def random_state(rng, iterations=None):
         negotiate_history_gain=rng.choice([0.1, 0.4, 1.5]),
     )
     state = NegotiationState(cfg)
+    step = on_step or (lambda _state: None)
     pool = [junction(rng) for _ in range(rng.randrange(2, 10))]
     snapshots = []
     for i in range(1, (iterations or rng.randrange(2, 6)) + 1):
         state.begin_iteration(i)
+        step(state)
         for name in list(state.trees):
-            state.remove_tree(name)
+            if rng.random() < 0.75:
+                state.remove_tree(name)
+                step(state)
         for n in range(rng.randrange(1, 6)):
+            if f"net{n}" in state.trees:
+                continue
             k = rng.randrange(1, min(4, len(pool)) + 1)
             nodes = rng.sample(pool, k)
             edges = [
                 (nodes[j], nodes[j + 1], 1.0) for j in range(k - 1)
             ]
             state.add_tree(f"net{n}", list(nodes), edges)
+            step(state)
         state.update_history()
+        step(state)
         snapshots.append(dict(state.history))
     return state, pool, snapshots
 
@@ -166,6 +179,35 @@ def test_negotiated_factors_at_least_one(seed):
             weight = base * (state.node_factor(u)
                              + state.node_factor(v)) / 2.0
             assert weight >= base > 0.0
+
+
+# ----------------------------------------------------------------------
+# property 3b: the incrementally patched factor table stays exact
+# ----------------------------------------------------------------------
+@seeded
+def test_incremental_factor_table_equals_node_factor(seed):
+    """After any add/remove/iteration/history sequence, the patched
+    dense table equals a from-scratch ``node_factor`` per id."""
+    rng = random.Random(seed)
+    g = Graph()
+    g.add_node(("P", 0, 0, 0))  # a pin: always factor 1
+    for x in range(8):
+        for y in range(8):
+            for side in range(4):
+                for t in range(4):
+                    g.add_node(("J", x, y, side, t))
+    flat = g.freeze().flat
+
+    def check(state):
+        if rng.random() < 0.5:
+            table = state.factor_table(flat)
+            assert table == [state.node_factor(n) for n in flat.nodes]
+
+    state, _, _ = random_state(rng, on_step=check)
+    table = state.factor_table(flat)
+    assert table == [state.node_factor(n) for n in flat.nodes]
+    # and it is one table, patched in place, between whole-table changes
+    assert state.factor_table(flat) is table
 
 
 # ----------------------------------------------------------------------
