@@ -58,7 +58,7 @@ from ..router.result import RoutingResult
 from ..validate import verify_result
 from .admission import AdmissionPolicy
 from .eviction import EvictionPolicy
-from .store import ACTIVE_STATES, JobRecord, JobStore, TERMINAL_STATES
+from .store import JobRecord, JobStore, TERMINAL_STATES
 from .supervisor import _FAMILIES, DEFAULT_STALE_AFTER_S, JobSupervisor
 
 #: request document format marker
@@ -245,6 +245,7 @@ class RoutingService:
                 )
                 if adopted is not None:
                     return adopted
+            self.supervisor.notify_work()
             return record
 
     def _adopt_at_submit(
@@ -335,53 +336,27 @@ class RoutingService:
         return load_result(self.store.result_path(job_id))
 
     def metrics(self) -> Dict[str, Any]:
-        """Operational counters, journal-derived (stable keys).
+        """Operational counters (stable keys), O(1) in the job history.
 
-        Served by ``GET /v1/metrics``; everything here is rebuilt from
-        the journal, so the numbers survive restart.
+        Served by ``GET /v1/metrics``.  The job counts are kept by the
+        store's journal fold (replay, own commits and other processes'
+        events alike), so they survive restart without a rescan; the
+        journal size is one ``stat``.  A result file deleted behind
+        the service's back stays counted until the next recovering
+        open requeues its job as ``result_lost``.
         """
         with self.lock:
             self.store.refresh()
-            records = self.store.records()
-            usage = self.store.result_usage()
+            doc = self.store.counters()
             try:
                 journal_bytes = os.path.getsize(self.store.journal.path)
             except OSError:
                 journal_bytes = 0
-            states: Dict[str, int] = {}
-            tenants: Dict[str, Dict[str, int]] = {}
-            dedupe_hits = 0
-            evicted = 0
-            for record in records:
-                states[record.state] = states.get(record.state, 0) + 1
-                row = tenants.setdefault(
-                    record.tenant, {"active": 0, "total": 0}
-                )
-                row["total"] += 1
-                if record.state in ACTIVE_STATES:
-                    row["active"] += 1
-                if record.deduped_from is not None:
-                    dedupe_hits += 1
-                if record.result_evicted:
-                    evicted += 1
-        return {
-            "jobs_total": len(records),
-            "queue_depth": sum(
-                states.get(s, 0) for s in ACTIVE_STATES
-            ),
-            "states": states,
-            "tenants": tenants,
-            "dedupe_hits": dedupe_hits,
-            "journal": {
+            doc["journal"] = {
                 "size_bytes": journal_bytes,
                 "next_seq": self.store.journal.next_seq,
-            },
-            "results": {
-                "count": len(usage),
-                "bytes": sum(e["bytes"] for e in usage),
-                "evicted_total": evicted,
-            },
-        }
+            }
+        return doc
 
     def pressure(self) -> Dict[str, Any]:
         """A cheap load snapshot for overload assessment (stable keys).
@@ -461,6 +436,10 @@ class RoutingService:
         runs until :meth:`~JobSupervisor.request_drain` — which SIGTERM
         and SIGINT trigger when ``install_signal_handlers`` is set —
         lets in-flight jobs finish.  Returns jobs processed.
+
+        An idle worker sleeps until a submit through this service, a
+        requeue or a drain wakes it; ``poll_s`` only bounds how late it
+        sees a submit or cancel made by another process.
         """
         supervisor = self.supervisor
         processed = [0]
@@ -477,11 +456,12 @@ class RoutingService:
 
         def loop(name: str) -> None:
             while not supervisor.draining:
-                record = supervisor.claim_next(name)
+                record = supervisor.claim_next(
+                    name, wait=None if exit_when_idle else poll_s
+                )
                 if record is None:
                     if exit_when_idle:
                         return
-                    time.sleep(poll_s)
                     continue
                 with counter_lock:
                     busy[0] += 1

@@ -197,7 +197,9 @@ class ServiceHTTP:
     service calls are serialized by the service's own lock on executor
     threads.  ``limits`` governs connections and read deadlines,
     ``overload`` the load-shedding thresholds; both default to
-    production-shaped values.
+    production-shaped values.  An SSE stream wakes on every commit of
+    its job; ``sse_poll_s`` bounds how late it sees new trace-log lines
+    and changes made by another process.
     """
 
     def __init__(
@@ -230,6 +232,7 @@ class ServiceHTTP:
         )
         self.bound: Optional[Tuple[str, int]] = None
         self._server: Optional[asyncio.AbstractServer] = None
+        self._on_commit: Optional[Callable[[str], None]] = None
         #: tenant -> submits accepted on the wire but not yet answered
         self._inflight: Dict[str, int] = {}
 
@@ -242,6 +245,14 @@ class ServiceHTTP:
         )
         sockname = self._server.sockets[0].getsockname()
         self.bound = (sockname[0], sockname[1])
+        loop = asyncio.get_running_loop()
+        poke = self.hub.poke
+
+        def on_commit(job_id: str) -> None:
+            loop.call_soon_threadsafe(poke, job_id)
+
+        self._on_commit = on_commit
+        self.service.store.add_commit_listener(on_commit)
         return self.bound
 
     async def serve_forever(self) -> None:
@@ -249,6 +260,9 @@ class ServiceHTTP:
         await self._server.serve_forever()
 
     async def stop(self) -> None:
+        if self._on_commit is not None:
+            self.service.store.remove_commit_listener(self._on_commit)
+            self._on_commit = None
         self.hub.shutdown()
         if self._server is not None:
             self._server.close()

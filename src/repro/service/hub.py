@@ -19,6 +19,11 @@ deadline is disconnected; that client reconnects with
 lossless end-to-end, while the hub's memory stays bounded at
 ``queue_limit`` events per subscriber.
 
+A tail sleeps until :meth:`EventHub.poke` says a journal commit
+changed its job (the HTTP front end registers a store commit listener
+for that), or for at most ``poll_s``: the bound for trace-log lines and
+for changes another process makes.
+
 All hub bookkeeping runs on the server's event loop — no locks.  Only
 ``stats()`` may be called from other threads (reads of ints/dict
 sizes, atomic under the GIL).  Blocking file/service calls are pushed
@@ -105,7 +110,9 @@ class Subscription:
 
 
 class _Tail:
-    __slots__ = ("job_id", "cursor", "sent", "subs", "task", "last_beat")
+    __slots__ = (
+        "job_id", "cursor", "sent", "subs", "task", "last_beat", "wake",
+    )
 
     def __init__(self, job_id: str, cursor: LogCursor) -> None:
         self.job_id = job_id
@@ -115,6 +122,8 @@ class _Tail:
         self.subs: set = set()
         self.task: Optional["asyncio.Task[None]"] = None
         self.last_beat = 0.0
+        #: set by :meth:`EventHub.poke` when a commit changed the job
+        self.wake = asyncio.Event()
 
 
 class EventHub:
@@ -171,6 +180,12 @@ class EventHub:
             tail.task.cancel()
             self._tails.pop(sub.job_id, None)
 
+    def poke(self, job_id: str) -> None:
+        """Wake ``job_id``'s tail now: a commit changed the job."""
+        tail = self._tails.get(job_id)
+        if tail is not None:
+            tail.wake.set()
+
     def shutdown(self) -> None:
         for tail in list(self._tails.values()):
             if tail.task is not None:
@@ -222,6 +237,9 @@ class EventHub:
         service = self._service
         try:
             while True:
+                # cleared before the reads, so a commit that lands
+                # while they run wakes the next wait at once
+                tail.wake.clear()
                 if await self._flush(tail):
                     tail.last_beat = time.monotonic()
                 try:
@@ -259,7 +277,10 @@ class EventHub:
                             json.dumps(payload, sort_keys=True),
                         ),
                     )
-                await asyncio.sleep(self._poll_s)
+                try:
+                    await asyncio.wait_for(tail.wake.wait(), self._poll_s)
+                except asyncio.TimeoutError:
+                    pass
         except asyncio.CancelledError:
             raise
         finally:

@@ -37,9 +37,11 @@ import hashlib
 import json
 import os
 import re
+import sys
 import time
+import traceback
 from dataclasses import dataclass, field, fields
-from typing import Any, Dict, List, Optional
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from ..errors import JobError, ServiceError, UnknownJobError
 from .journal import Journal
@@ -63,20 +65,53 @@ STATE_SCHEMA = "repro.service/job-state-v1"
 _JOB_ID_RE = re.compile(r"^job-(\d{6,})$")
 
 
+def job_order(job_id: str) -> Tuple[int, int, str]:
+    """Submission-order sort key: the numeric part of a job id.
+
+    A string sort would put ``job-1000000`` before ``job-999999``.  Ids
+    outside the ``job-NNNNNN`` pattern sort after every minted id.
+    """
+    m = _JOB_ID_RE.match(job_id)
+    return (0, int(m.group(1)), job_id) if m else (1, 0, job_id)
+
+
 def _now() -> float:
     return time.time()
 
 
-def _atomic_write_json(path: str, doc: Dict[str, Any]) -> None:
-    """Write ``doc`` as JSON via the temp-file + rename protocol."""
+def _event_job(event: Dict[str, Any]) -> str:
+    job_id = event.get("job")
+    if not isinstance(job_id, str):
+        raise ServiceError(f"journal event without a job id: {event}")
+    return job_id
+
+
+def _live_result(record: "JobRecord") -> bool:
+    """Does the job hold a result.json the counters include?"""
+    return record.state == "done" and not record.result_evicted
+
+
+def _mark(members: set, job_id: str, sign: int) -> None:
+    if sign > 0:
+        members.add(job_id)
+    else:
+        members.discard(job_id)
+
+
+def _atomic_write_json(path: str, doc: Dict[str, Any]) -> int:
+    """Write ``doc`` as JSON via the temp-file + rename protocol.
+
+    Returns the byte size of the written file.
+    """
     tmp = f"{path}.tmp.{os.getpid()}"
+    data = (json.dumps(doc, indent=2) + "\n").encode("utf-8")
     try:
-        with open(tmp, "w", encoding="utf-8") as fh:
-            json.dump(doc, fh, indent=2)
-            fh.write("\n")
+        with open(tmp, "wb") as fh:
+            fh.write(data)
             fh.flush()
             os.fsync(fh.fileno())
         os.replace(tmp, path)
+        return len(data)
     except OSError as exc:
         raise ServiceError(f"cannot write {path!r}: {exc}") from exc
     finally:
@@ -144,6 +179,11 @@ class JobStore:
     then the in-memory record, then the snapshot file.  The class is
     not thread-safe by itself — the supervisor serializes access
     through its own lock.
+
+    The fold (:meth:`_apply`) also keeps running counters — jobs per
+    state, per-tenant active/total, dedupe hits, evictions, and the
+    count and bytes of live ``result.json`` files — so admission and
+    ``/v1/metrics`` cost the same at any history length.
     """
 
     def __init__(self, root: str, *, faults=None, readonly: bool = False):
@@ -158,8 +198,28 @@ class JobStore:
             readonly=readonly,
         )
         self.jobs: Dict[str, JobRecord] = {}
+        # the fold's counters: every record's share is added by _tally
+        self._states: Dict[str, int] = dict.fromkeys(JOB_STATES, 0)
+        self._tenants: Dict[str, List[int]] = {}  # [active, total]
+        self._queued: set = set()
+        self._dedupe_hits = 0
+        self._evicted = 0
+        self._result_count = 0
+        self._result_bytes = 0
+        #: result.json byte size per job, learned when this process
+        #: writes the file or stats it once (``None``: it was missing)
+        self._result_sizes: Dict[str, Optional[int]] = {}
+        #: live (done, not evicted) results whose size is not known yet
+        self._unsized: set = set()
+        #: called with the job id after every commit (see
+        #: :meth:`add_commit_listener`)
+        self._commit_listeners: Tuple[Callable[[str], None], ...] = ()
         for event in self.journal.replayed:
-            self._apply(event)
+            self._fold(self._record(_event_job(event)), event)
+        # the counters start from the replayed records; every later fold
+        # keeps them current
+        for record in self.jobs.values():
+            self._tally(record, 1)
         # from here on, any resync (refresh or mid-append) folds events
         # appended by other processes straight into the records
         self.journal.foreign_event_sink = self._apply
@@ -216,15 +276,50 @@ class JobStore:
 
     def records(self) -> List[JobRecord]:
         """All jobs in submission order (job ids are monotonic)."""
-        return [self.jobs[k] for k in sorted(self.jobs)]
+        return [self.jobs[k] for k in sorted(self.jobs, key=job_order)]
+
+    def queued(self) -> List[JobRecord]:
+        """Every ``queued`` job, unordered (the fold keeps the set)."""
+        return [self.jobs[k] for k in self._queued]
 
     def active_count(self, tenant: Optional[str] = None) -> int:
-        return sum(
-            1
-            for r in self.jobs.values()
-            if r.state in ACTIVE_STATES
-            and (tenant is None or r.tenant == tenant)
-        )
+        if tenant is None:
+            return sum(self._states[s] for s in ACTIVE_STATES)
+        row = self._tenants.get(tenant)
+        return row[0] if row else 0
+
+    def counters(self) -> Dict[str, Any]:
+        """The fold's counters, shaped as ``/v1/metrics`` serves them.
+
+        Costs one ``stat`` per live result whose size this process has
+        not learned yet (results other processes wrote, or every done
+        job after a non-recovering open), and nothing per job after.
+        """
+        for job_id in list(self._unsized):
+            try:
+                size: Optional[int] = os.path.getsize(
+                    self.result_path(job_id)
+                )
+            except OSError:
+                size = None
+            self._learn_result_size(job_id, size)
+        states = {s: n for s, n in self._states.items() if n}
+        return {
+            "jobs_total": len(self.jobs),
+            "queue_depth": sum(states.get(s, 0) for s in ACTIVE_STATES),
+            "states": states,
+            "tenants": {
+                tenant: {"active": active, "total": total}
+                for tenant, (active, total) in self._tenants.items()
+                if total
+            },
+            "dedupe_hits": self._dedupe_hits,
+            "results": {
+                "count": self._result_count,
+                "bytes": self._result_bytes,
+                "evicted_total": self._evicted,
+            },
+        }
 
     def next_job_id(self) -> str:
         """Smallest unused ``job-NNNNNN`` across journal *and* disk.
@@ -257,21 +352,97 @@ class JobStore:
         self.journal.append(event)
         record = self._apply(event)
         self._write_snapshot(record)
+        for listener in self._commit_listeners:
+            try:
+                listener(record.job_id)
+            except Exception:
+                # the event is already durable: a broken listener must
+                # not report a committed transition as failed
+                traceback.print_exc(file=sys.stderr)
         return record
+
+    def add_commit_listener(self, listener: Callable[[str], None]) -> None:
+        """Call ``listener(job_id)`` after every commit of this store.
+
+        Listeners run on the committing thread, under the caller's
+        locks, so they must only hand the id on (the HTTP front end
+        schedules an SSE wake-up on its event loop).  One that raises
+        has its traceback printed and is otherwise ignored.  Events
+        other processes append are not announced.
+        """
+        self._commit_listeners = (*self._commit_listeners, listener)
+
+    def remove_commit_listener(self, listener: Callable[[str], None]) -> None:
+        self._commit_listeners = tuple(
+            f for f in self._commit_listeners if f != listener
+        )
 
     def _apply(self, event: Dict[str, Any]) -> JobRecord:
         """Fold one journal event into the in-memory records.
 
         Replay-idempotent: applying an event a second time (a crash
         between the fsync and the caller's return, then recovery)
-        converges to the same record.
+        converges to the same record.  The record's share of the
+        counters is taken out before the event changes it and put back
+        after, so the counters converge too.
         """
+        job_id = _event_job(event)
+        if job_id in self.jobs:
+            self._tally(self.jobs[job_id], -1)
+        record = self._record(job_id)
+        try:
+            self._fold(record, event)
+        finally:
+            if not _live_result(record):
+                self._result_sizes.pop(job_id, None)
+            self._tally(record, 1)
+        return record
+
+    def _record(self, job_id: str) -> JobRecord:
+        record = self.jobs.get(job_id)
+        if record is None:
+            # a transition for a job whose `submitted` append was lost
+            # (crash before it) synthesizes one, so replay never explodes
+            record = self.jobs[job_id] = JobRecord(job_id=job_id)
+        return record
+
+    def _tally(self, record: JobRecord, sign: int) -> None:
+        """Add (``sign=1``) or take out (``-1``) one record's counts."""
+        self._states[record.state] += sign
+        row = self._tenants.setdefault(record.tenant, [0, 0])
+        row[1] += sign
+        if record.state in ACTIVE_STATES:
+            row[0] += sign
+        if record.state == "queued":
+            _mark(self._queued, record.job_id, sign)
+        if record.deduped_from is not None:
+            self._dedupe_hits += sign
+        if record.result_evicted:
+            self._evicted += sign
+        elif record.state == "done":
+            self._tally_result(record.job_id, sign)
+
+    def _tally_result(self, job_id: str, sign: int) -> None:
+        """A live (done, not evicted) result's share of the counters."""
+        if job_id not in self._result_sizes:
+            _mark(self._unsized, job_id, sign)
+        elif self._result_sizes[job_id] is not None:
+            self._result_count += sign
+            self._result_bytes += sign * self._result_sizes[job_id]
+
+    def _learn_result_size(self, job_id: str, size: Optional[int]) -> None:
+        """Record the size of ``job_id``'s result.json in the counters."""
+        record = self.jobs.get(job_id)
+        live = record is not None and _live_result(record)
+        if live:
+            self._tally_result(job_id, -1)
+        self._result_sizes[job_id] = size
+        if live:
+            self._tally_result(job_id, 1)
+
+    def _fold(self, record: JobRecord, event: Dict[str, Any]) -> None:
         kind = event.get("type")
-        job_id = event.get("job")
-        if not isinstance(job_id, str):
-            raise ServiceError(f"journal event without a job id: {event}")
         if kind == "submitted":
-            record = self.jobs.get(job_id) or JobRecord(job_id=job_id)
             record.state = "queued"
             record.tenant = event.get("tenant", record.tenant)
             record.fingerprint = event.get(
@@ -280,14 +451,7 @@ class JobStore:
             record.submitted_at = event.get("at", record.submitted_at)
             if "priority" in event:
                 record.priority = int(event["priority"])
-            self.jobs[job_id] = record
-            return record
-        record = self.jobs.get(job_id)
-        if record is None:
-            # transition for a job whose `submitted` append was lost
-            # (crash before it); synthesize so replay never explodes
-            record = JobRecord(job_id=job_id)
-            self.jobs[job_id] = record
+            return
         if kind == "transition":
             to = event.get("to")
             if to not in JOB_STATES:
@@ -312,13 +476,13 @@ class JobStore:
             if to in TERMINAL_STATES:
                 record.finished_at = event.get("at", _now())
                 record.worker = None
-            return record
+            return
         if kind == "cancel_requested":
             record.cancel_requested = True
-            return record
+            return
         if kind == "result_evicted":
             record.result_evicted = True
-            return record
+            return
         raise ServiceError(f"unknown journal event type {kind!r}")
 
     def _write_snapshot(self, record: JobRecord) -> None:
@@ -443,7 +607,8 @@ class JobStore:
             from ..engine.faults import service_crash
 
             service_crash("result.write.pre")
-        _atomic_write_json(self.result_path(job_id), result_doc)
+        size = _atomic_write_json(self.result_path(job_id), result_doc)
+        self._learn_result_size(job_id, size)
         if faults is not None and faults.should_crash_at(
             "result.write.post"
         ):
@@ -508,13 +673,8 @@ class JobStore:
         present — anything else (purged dir, re-queued job) makes the
         index entry stale and it is ignored.
         """
-        path = self.index_path(fingerprint)
-        try:
-            with open(path, "r", encoding="utf-8") as fh:
-                doc = json.load(fh)
-        except (OSError, ValueError):
-            return None
-        job_id = doc.get("job") if isinstance(doc, dict) else None
+        doc = self._read_index(fingerprint)
+        job_id = doc.get("job") if doc is not None else None
         if not isinstance(job_id, str):
             return None
         record = self.jobs.get(job_id)
@@ -530,38 +690,33 @@ class JobStore:
             # last time a cached result was *served*, not written
             doc["served_at"] = _now()
             try:
-                _atomic_write_json(path, doc)
+                _atomic_write_json(self.index_path(fingerprint), doc)
             except ServiceError:  # pragma: no cover - disk trouble
                 pass
         return job_id
 
-    def result_last_used(self, record: JobRecord) -> float:
-        """When this job's cached result last earned its keep.
-
-        The dedupe index entry's ``served_at`` (stamped on every
-        lookup hit) when this job is the donor, else the job's own
-        completion time — the LRU key for the eviction sweep.
-        """
-        used = record.finished_at or record.submitted_at or 0.0
+    def _read_index(self, fingerprint: str) -> Optional[Dict[str, Any]]:
+        """A fingerprint's dedupe index entry, or ``None``."""
         try:
             with open(
-                self.index_path(record.fingerprint), "r", encoding="utf-8"
+                self.index_path(fingerprint), "r", encoding="utf-8"
             ) as fh:
                 doc = json.load(fh)
         except (OSError, ValueError):
-            return used
-        if isinstance(doc, dict) and doc.get("job") == record.job_id:
-            for key in ("served_at", "at"):
-                if isinstance(doc.get(key), (int, float)):
-                    return max(used, doc[key])
-        return used
+            return None
+        return doc if isinstance(doc, dict) else None
 
     def result_usage(self) -> List[Dict[str, Any]]:
         """Every evictable cached result: job, bytes, last-used stamp.
 
         Only ``done`` jobs with a live (non-evicted) ``result.json``
-        count toward the result store's footprint.
+        count toward the result store's footprint.  The last-used stamp
+        is the LRU key for the eviction sweep: the dedupe index entry's
+        ``served_at`` (stamped on every lookup hit) when the job is the
+        donor, else the job's own completion time.  Each fingerprint's
+        index entry is read once per call, however many jobs share it.
         """
+        entries: Dict[str, Optional[Dict[str, Any]]] = {}
         usage = []
         for record in self.records():
             if record.state != "done" or record.result_evicted:
@@ -570,12 +725,22 @@ class JobStore:
                 size = os.path.getsize(self.result_path(record.job_id))
             except OSError:
                 continue
+            fingerprint = record.fingerprint
+            if fingerprint not in entries:
+                entries[fingerprint] = self._read_index(fingerprint)
+            used = record.finished_at or record.submitted_at or 0.0
+            doc = entries[fingerprint]
+            if doc is not None and doc.get("job") == record.job_id:
+                for key in ("served_at", "at"):
+                    if isinstance(doc.get(key), (int, float)):
+                        used = max(used, doc[key])
+                        break
             usage.append(
                 {
                     "job": record.job_id,
-                    "fingerprint": record.fingerprint,
+                    "fingerprint": fingerprint,
                     "bytes": size,
-                    "last_used": self.result_last_used(record),
+                    "last_used": used,
                 }
             )
         return usage
@@ -606,15 +771,10 @@ class JobStore:
                 os.unlink(path)
             except OSError:
                 pass
-        index = self.index_path(record.fingerprint)
-        try:
-            with open(index, "r", encoding="utf-8") as fh:
-                doc = json.load(fh)
-        except (OSError, ValueError):
-            return
-        if isinstance(doc, dict) and doc.get("job") == record.job_id:
+        doc = self._read_index(record.fingerprint)
+        if doc is not None and doc.get("job") == record.job_id:
             try:
-                os.unlink(index)
+                os.unlink(self.index_path(record.fingerprint))
             except OSError:  # pragma: no cover - racing unlink
                 pass
 
@@ -742,11 +902,16 @@ class JobStore:
                     # the unlink: finish what the journal promised
                     self._remove_result_files(record)
                     summary["eviction_completed"].append(record.job_id)
-            elif record.state == "done" and not os.path.exists(
-                self.result_path(record.job_id)
-            ):
-                self.requeue(record.job_id, "result_lost")
-                summary["result_lost"].append(record.job_id)
+            elif record.state == "done":
+                # the stat that proves the result is there also sizes
+                # it for the counters
+                try:
+                    size = os.path.getsize(self.result_path(record.job_id))
+                except OSError:
+                    self.requeue(record.job_id, "result_lost")
+                    summary["result_lost"].append(record.job_id)
+                else:
+                    self._learn_result_size(record.job_id, size)
             elif record.state == "queued" and record.cancel_requested:
                 self.transition(record.job_id, "cancelled")
                 summary["cancelled"].append(record.job_id)

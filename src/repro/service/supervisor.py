@@ -70,7 +70,7 @@ from ..io import circuit_from_dict, load_result, result_to_dict
 from ..router.channel_width import minimum_channel_width
 from ..router.config import RouterConfig
 from ..validate import verify_result
-from .store import JobRecord, JobStore
+from .store import JobRecord, JobStore, job_order
 
 #: how long a running job may go without a heartbeat before takeover
 DEFAULT_STALE_AFTER_S = 30.0
@@ -112,6 +112,8 @@ class JobSupervisor:
         #: result store converges to its caps while serving
         self.eviction = eviction
         self._drain = threading.Event()
+        #: idle workers wait here; submits, requeues and drain notify
+        self._work = threading.Condition(self.lock)
         #: worker-pool gauges published by :meth:`RoutingService.serve`
         #: and read (without locking — plain int loads) by the HTTP
         #: front end's overload assessment
@@ -128,31 +130,53 @@ class JobSupervisor:
     def request_drain(self) -> None:
         """Stop claiming new jobs; in-flight jobs run to completion."""
         self._drain.set()
+        self.notify_work()
+
+    def notify_work(self) -> None:
+        """Wake every worker waiting in :meth:`claim_next`."""
+        with self.lock:
+            self._work.notify_all()
 
     # ------------------------------------------------------------------
     # claiming
     # ------------------------------------------------------------------
-    def claim_next(self, worker: str) -> Optional[JobRecord]:
+    def claim_next(
+        self, worker: str, wait: Optional[float] = None
+    ) -> Optional[JobRecord]:
         """Journal a claim on the best runnable job, if any.
 
         "Best" is highest journaled priority first, oldest job id
         within a priority level — so a full queue never starves a
         high-priority tenant behind earlier bulk submissions.
+
+        With ``wait`` (seconds), an empty scan waits until
+        :meth:`notify_work` (a submit, a requeue, a drain) or the
+        timeout, then scans once more.  The scan and the wait happen in
+        one hold of the lock, so no notify is lost between them; the
+        timeout bounds how late a submit or cancel made by another
+        process, seen only through ``refresh``, is picked up.
         """
         with self.lock:
-            if self.draining:
-                return None
-            # see submissions/cancellations from other processes
-            self.store.refresh()
-            runnable = sorted(
-                (r for r in self.store.records() if r.state == "queued"),
-                key=lambda r: (-r.priority, r.job_id),
-            )
-            for record in runnable:
-                if record.cancel_requested:
-                    self.store.transition(record.job_id, "cancelled")
-                    continue
-                return self.store.claim(record.job_id, worker)
+            record = self._claim_scan(worker)
+            if record is None and wait and not self.draining:
+                self._work.wait(wait)
+                record = self._claim_scan(worker)
+            return record
+
+    def _claim_scan(self, worker: str) -> Optional[JobRecord]:
+        if self.draining:
+            return None
+        # see submissions/cancellations from other processes
+        self.store.refresh()
+        runnable = sorted(
+            self.store.queued(),
+            key=lambda r: (-r.priority, job_order(r.job_id)),
+        )
+        for record in runnable:
+            if record.cancel_requested:
+                self.store.transition(record.job_id, "cancelled")
+                continue
+            return self.store.claim(record.job_id, worker)
         return None
 
     def reclaim_stale(self) -> int:
@@ -172,6 +196,8 @@ class JobSupervisor:
                 if self.store.stale(record.job_id, self.stale_after_s):
                     self.store.requeue(record.job_id, "stale_takeover")
                     taken += 1
+            if taken:
+                self._work.notify_all()
         return taken
 
     def run_until_idle(
