@@ -14,7 +14,8 @@ shortest-paths property.
 
 from __future__ import annotations
 
-from typing import Hashable, Iterable, List, Optional, Sequence, Tuple
+from bisect import bisect_right
+from typing import Dict, Hashable, Iterable, List, Optional, Sequence, Tuple
 
 from ..errors import GraphError
 from ..graph.core import Graph
@@ -43,6 +44,10 @@ class DominanceOracle:
         self.graph = graph
         self.source = source
         self.cache = cache if cache is not None else ShortestPathCache(graph)
+        #: (source SSSP, its keys, its distances) for :meth:`maxdom`
+        self._order: Optional[
+            Tuple[Dict[Node, float], List[Node], List[float]]
+        ] = None
 
     def source_dist(self, node: Node) -> float:
         """``minpath_G(n0, node)`` (INF if unreachable)."""
@@ -63,40 +68,38 @@ class DominanceOracle:
             return False
         return abs(dp - (ds + dsp)) <= _TOL * max(1.0, dp)
 
-    def dominated_by_both(self, p: Node, q: Node) -> List[Node]:
-        """All nodes dominated by both ``p`` and ``q``.
+    def _settled(
+        self, d0: Dict[Node, float]
+    ) -> Tuple[List[Node], List[float]]:
+        """``d0``'s keys and distances as two lists, in settlement order.
 
-        Scans V using SSSPs rooted at p and q (distance *to* m equals
-        distance *from* m in an undirected graph).
+        Built once per SSSP object: every pair of a PFA net shares one
+        source SSSP, and the cache hands back the same dict until the
+        graph mutates.
         """
-        d0, _ = self.cache.sssp(self.source)
-        dp_all, _ = self.cache.sssp(p)
-        dq_all, _ = self.cache.sssp(q)
-        dp = d0.get(p, INF)
-        dq = d0.get(q, INF)
-        if dp == INF or dq == INF:
-            return []
-        out: List[Node] = []
-        for m, dm in d0.items():
-            dmp = dp_all.get(m)
-            if dmp is None or abs(dp - (dm + dmp)) > _TOL * max(1.0, dp):
-                continue
-            dmq = dq_all.get(m)
-            if dmq is None or abs(dq - (dm + dmq)) > _TOL * max(1.0, dq):
-                continue
-            out.append(m)
-        return out
+        order = self._order
+        if order is None or order[0] is not d0:
+            order = (d0, list(d0), list(d0.values()))
+            self._order = order
+        return order[1], order[2]
 
-    def maxdom(
-        self, p: Node, q: Node, restrict: Optional[Iterable[Node]] = None
-    ) -> Tuple[Node, float]:
+    def maxdom(self, p: Node, q: Node) -> Tuple[Node, float]:
         """``MaxDom(p, q)`` and its source distance.
 
-        With ``restrict``, the winner is drawn from that node set instead
-        of all of V — this is exactly DOM's restriction of MaxDom to the
-        net N (Section 4.2).  The source always qualifies (it is
-        dominated by everything), so a result always exists provided p
-        and q are reachable.
+        The winner is the node of largest source distance dominated by
+        both ``p`` and ``q`` — among equals, the first one the source
+        SSSP settled.  The source always qualifies (it is dominated by
+        everything), so a result always exists provided p and q are
+        reachable.
+
+        Only nodes that can win are tested.  Dijkstra settles in
+        non-decreasing distance, so the settled list is sorted; a node
+        farther than ``min(dp, dq)`` plus tolerance cannot be dominated
+        by both (``dm + dmp >= dm > dp + tp``).  The walk therefore
+        starts at the last node within that bound, goes backwards, and
+        stops once it drops below the best distance found.  Within the
+        winning distance group the last passing node it meets is the
+        first one settled — the node a forward scan over V returns.
         """
         d0, _ = self.cache.sssp(self.source)
         dp = d0.get(p, INF)
@@ -107,27 +110,27 @@ class DominanceOracle:
             )
         dp_all, _ = self.cache.sssp(p)
         dq_all, _ = self.cache.sssp(q)
-        pool = d0.keys() if restrict is None else restrict
+        keys, dists = self._settled(d0)
+        tp = _TOL * max(1.0, dp)
+        tq = _TOL * max(1.0, dq)
+        hi = bisect_right(dists, min(dp + tp, dq + tq))
         best: Optional[Node] = None
         best_d = -1.0
-        for m in pool:
-            dm = d0.get(m)
-            if dm is None or dm <= best_d:
-                continue
+        for i in range(hi - 1, -1, -1):
+            dm = dists[i]
+            if dm < best_d:
+                break
+            m = keys[i]
             dmp = dp_all.get(m)
-            if dmp is None or abs(dp - (dm + dmp)) > _TOL * max(1.0, dp):
+            if dmp is None or abs(dp - (dm + dmp)) > tp:
                 continue
             dmq = dq_all.get(m)
-            if dmq is None or abs(dq - (dm + dmq)) > _TOL * max(1.0, dq):
+            if dmq is None or abs(dq - (dm + dmq)) > tq:
                 continue
             best = m
             best_d = dm
-        if best is None:
-            # the source is always a fallback when not excluded by
-            # `restrict`; reaching here means restrict excluded it.
-            raise GraphError(
-                f"no node in restriction dominated by both {p!r} and {q!r}"
-            )
+        if best is None:  # pragma: no cover - the source always passes
+            raise GraphError(f"nothing dominated by both {p!r} and {q!r}")
         return best, best_d
 
     def nearest_dominated(

@@ -111,9 +111,6 @@ class StaircaseInstance:
 
     graph: Graph
     net: Net
-    #: the rectilinear-optimal arborescence cost for the staircase
-    #: (one trunk up the y-axis plus one horizontal run per sink level)
-    optimal_upper_bound: float
 
 
 def staircase_instance(num_sinks: int) -> StaircaseInstance:
@@ -121,11 +118,11 @@ def staircase_instance(num_sinks: int) -> StaircaseInstance:
 
     Source at the origin of a ``(k+1) × (2k+3)`` grid graph; horizontal
     interpoint distance 1, vertical interpoint distance 2, exactly as
-    the figure caption specifies.  The optimal arborescence follows the
-    staircase "diagonally" (cost ``3k − 1`` for k ≥ 1: each step costs
-    its 1+2 offset, plus the 1+2k approach to the first point, counted
-    tightly as x_max + y_max + Σ detours).  Path-folding instead builds
-    a comb whose cost approaches twice that as k grows.
+    the figure caption specifies.  On the plane, path folding on this
+    pointset builds combs whose cost approaches twice the optimum as k
+    grows; the optimum itself has no closed form here and comes from
+    the exact GSA solver
+    (:func:`~repro.arborescence.exact.optimal_arborescence_cost`).
     """
     if num_sinks < 1:
         raise GraphError("need at least one sink")
@@ -136,12 +133,7 @@ def staircase_instance(num_sinks: int) -> StaircaseInstance:
     source = (0, 0)
     sinks = tuple((i, 2 * (k - i + 1)) for i in range(1, k + 1))
     net = Net(source=source, sinks=sinks, name="fig11")
-    # Upper bound via the "staircase chain": reach (1, 2k) with 1+2k,
-    # then each of the k−1 steps costs 3 (1 right, 2 down).
-    upper = (1 + 2 * k) + 3 * (k - 1)
-    return StaircaseInstance(
-        graph=g, net=net, optimal_upper_bound=float(upper)
-    )
+    return StaircaseInstance(graph=g, net=net)
 
 
 # ----------------------------------------------------------------------

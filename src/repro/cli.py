@@ -49,7 +49,6 @@ from .errors import (
     UnroutableError,
     ValidationError,
 )
-from .graph.flat import GRAPH_BACKENDS
 from .graph.search import SEARCH_BACKENDS
 from .fpga import (
     XC3000_CIRCUITS,
@@ -124,15 +123,6 @@ def _add_engine_options(
         ),
     )
     group.add_argument(
-        "--graph-backend", choices=GRAPH_BACKENDS, default="auto",
-        help=(
-            "graph core (RouterConfig.graph_backend): mutable dict "
-            "adjacency, frozen flat CSR arrays, or auto by device size; "
-            "results are bit-identical either way (--mode negotiate "
-            "always searches a frozen device snapshot)"
-        ),
-    )
-    group.add_argument(
         "--mode", choices=MODES, default="paper",
         help=(
             "routing strategy (RouterConfig.mode): the paper's "
@@ -188,9 +178,6 @@ def _config(args, algorithm: str) -> RouterConfig:
     search = getattr(args, "search", None)
     if search is not None:
         extra["search"] = search
-    graph_backend = getattr(args, "graph_backend", None)
-    if graph_backend is not None:
-        extra["graph_backend"] = graph_backend
     mode = getattr(args, "mode", None)
     if mode is not None:
         extra["mode"] = mode

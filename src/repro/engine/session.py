@@ -55,7 +55,7 @@ from ..fpga.architecture import Architecture
 from ..fpga.netlist import PlacedCircuit, PlacedNet
 from ..fpga.routing_graph import RoutingResourceGraph
 from ..graph.core import Graph
-from ..graph.flat import FlatGraph, resolve_graph_backend
+from ..graph.flat import FlatGraph
 from ..graph.shortest_paths import (
     DijkstraCounters,
     ShortestPathCache,
@@ -234,7 +234,6 @@ class RoutingSession:
                 "route_timeout_s": cfg.route_timeout_s,
                 "max_relaxations": cfg.max_relaxations,
                 "search": cfg.search,
-                "graph_backend": cfg.graph_backend,
                 "verify": cfg.verify,
                 "mode": cfg.mode,
                 "timing": cfg.timing,
@@ -1227,14 +1226,10 @@ class RoutingSession:
             deadline, pass_no, cfg.pass_timeout_s, routes, failed
         )
         collect_counters = supervisor.current == "process"
-        # Flat shipping: one frozen CSR of the pinless base graph is
-        # shared by every task in the batch (and pickled once per
-        # worker), with per-net pin taps replayed worker-side; the
-        # materialized snapshot is identical to the dict copy.
-        ship_flat = (
-            resolve_graph_backend(cfg.graph_backend, rrg.graph) == "flat"
-        )
-        base_flat = rrg.graph.freeze().flat if ship_flat else None
+        # One frozen CSR of the pinless base graph is shared by every
+        # task in the batch (and pickled once per worker), with per-net
+        # pin taps replayed worker-side.
+        base_flat = rrg.graph.freeze().flat
         tasks: List[Optional[NetTask]] = []
         for placed in batch:
             algo = router.effective_algorithm(placed, critical)
@@ -1242,22 +1237,16 @@ class RoutingSession:
                 tasks.append(None)
                 continue
             net = placed.to_graph_net()
-            if ship_flat:
-                snapshot = None
-                taps = {pn: rrg.pin_taps(pn) for pn in net.terminals}
-            else:
-                snapshot = rrg.graph.copy()
-                rrg.attach_pins(net.terminals, graph=snapshot)
-                taps = None
             tasks.append(
                 NetTask(
                     name=placed.name,
                     net=net,
                     algo=algo,
                     config=self.config,
-                    graph=snapshot,
                     flat=base_flat,
-                    pin_taps=taps,
+                    pin_taps={
+                        pn: rrg.pin_taps(pn) for pn in net.terminals
+                    },
                     collect_counters=collect_counters,
                     index=self._task_counter,
                     faults=self.faults,

@@ -1,9 +1,9 @@
 """The speculative per-net routing task executed by engine workers.
 
 A :class:`NetTask` carries everything a worker needs to route one net
-*without touching shared state*: a snapshot of the routing graph with
-exactly this net's pins attached, the net itself, the resolved tree
-algorithm, and the router configuration.  The worker mirrors the serial
+*without touching shared state*: a frozen CSR snapshot of the pinless
+routing graph plus this net's pin taps, the net itself, the resolved
+tree algorithm, and the router configuration.  The worker mirrors the serial
 router's per-net protocol (`FPGARouter._route_one`) minus the commit:
 feasibility pre-checks, congested shortest paths for the Table-5
 optimal-pathlength metric, then tree construction through the shared
@@ -49,13 +49,10 @@ class NetTask:
     net: Net
     algo: str
     config: RouterConfig
-    #: routing-graph snapshot with this net's pins already attached —
-    #: dict-backend shipping; None when the task ships flat arrays
-    graph: Optional[Graph] = None
-    #: frozen CSR snapshot of the *pinless* base graph — flat-backend
-    #: shipping.  One FlatGraph is shared (and pickled once per worker
-    #: batch) by every task of a batch; the worker thaws it and replays
-    #: this net's pin attachment locally from ``pin_taps``
+    #: frozen CSR snapshot of the *pinless* base graph.  One FlatGraph
+    #: is shared (and pickled once per worker batch) by every task of a
+    #: batch; the worker thaws it and replays this net's pin attachment
+    #: locally from ``pin_taps``
     flat: Optional[FlatGraph] = None
     #: pin -> [(junction, weight)] connection-block taps for this net's
     #: terminals (see RoutingResourceGraph.pin_taps)
@@ -97,23 +94,19 @@ def make_budget(config: RouterConfig) -> Optional[DijkstraBudget]:
 def materialize_graph(task: NetTask) -> Graph:
     """The routing-graph snapshot this task routes on.
 
-    Dict shipping returns the pre-attached snapshot unchanged.  Flat
-    shipping thaws the shared base CSR — which reconstructs the exact
-    adjacency ordering of the live graph it was frozen from — and
-    replays the pin attachment for this net's terminals with the same
-    add order and the same survival checks as
-    :meth:`RoutingResourceGraph.attach_pins`, so the materialized graph
-    is identical to the dict snapshot the session would have shipped.
+    Thaws the shared base CSR — which reconstructs the exact adjacency
+    ordering of the live graph it was frozen from — and replays the pin
+    attachment for this net's terminals with the same add order and the
+    same survival checks as :meth:`RoutingResourceGraph.attach_pins`,
+    so the materialized graph is identical to the live graph with this
+    net's pins attached.
     """
-    if task.graph is not None:
-        return task.graph
     if task.flat is None or task.pin_taps is None:
         raise GraphError(
-            f"task {task.name!r} carries neither a graph snapshot "
-            f"nor flat arrays"
+            f"task {task.name!r} carries no flat arrays or pin taps"
         )
     if task.faults is not None:
-        # flat-shipping fault point: die while the task's graph exists
+        # materialize fault point: die while the task's graph exists
         # only as shipped CSR arrays, before any thaw-side state
         task.faults.inject_materialize(task.index)
     g = task.flat.thaw()
@@ -270,9 +263,7 @@ def _run(
         if not graph.has_node(pin) or graph.degree(pin) == 0:
             return done({"name": task.name, "status": INFEASIBLE})
     policy = SearchPolicy(
-        task.config.search,
-        heuristic_scale=task.heuristic_scale,
-        graph_backend=task.config.graph_backend,
+        task.config.search, heuristic_scale=task.heuristic_scale
     )
     cache = ShortestPathCache(graph, search=policy)
     # mirrors FPGARouter._route_one: goal-directed backends settle just

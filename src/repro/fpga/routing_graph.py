@@ -308,20 +308,14 @@ class RoutingResourceGraph:
             if self.graph.has_node(pn):
                 self.graph.remove_node(pn)
 
-    def attach_pins(
-        self, pins: Iterable[Tuple], graph: Optional[Graph] = None
-    ) -> None:
+    def attach_pins(self, pins: Iterable[Tuple]) -> None:
         """Re-insert the given pin nodes with their surviving CB edges.
 
         Edges to junctions already consumed by earlier nets are not
         restored; a pin whose taps are all gone comes back isolated,
         which the router reads as an infeasible net.
-
-        ``graph`` lets the engine attach pins onto a *snapshot* of the
-        routing graph (speculative batch routing) instead of the live
-        one; survival of each tap is judged against that snapshot.
         """
-        g = self.graph if graph is None else graph
+        g = self.graph
         for pn in pins:
             if pn not in self._pin_edges:
                 raise GraphError(f"{pn!r} is not a pin of this device")

@@ -9,14 +9,11 @@ experimental workloads, and tree validation/pruning helpers.
 
 from .core import Graph, edge_key
 from .flat import (
-    FLAT_AUTO_THRESHOLD,
-    GRAPH_BACKENDS,
     FlatGraph,
     GraphView,
     flat_astar,
     flat_bidirectional,
     flat_dijkstra,
-    resolve_graph_backend,
 )
 from .distance_graph import DistanceGraph, terminal_distances
 from .multiweight import MultiWeightGraph, sweep_tradeoff
@@ -44,12 +41,9 @@ from .search import (
     Heuristic,
     LandmarkIndex,
     SearchPolicy,
-    astar,
-    bidirectional_dijkstra,
     lattice_coordinate,
     lattice_scale,
     manhattan_heuristic,
-    multi_target_dijkstra,
 )
 from .spanning import UnionFind, dense_mst, kruskal_mst, mst_cost, prim_mst
 from .validation import (
@@ -63,14 +57,11 @@ from .validation import (
 __all__ = [
     "Graph",
     "edge_key",
-    "FLAT_AUTO_THRESHOLD",
-    "GRAPH_BACKENDS",
     "FlatGraph",
     "GraphView",
     "flat_astar",
     "flat_bidirectional",
     "flat_dijkstra",
-    "resolve_graph_backend",
     "DistanceGraph",
     "terminal_distances",
     "MultiWeightGraph",
@@ -94,12 +85,9 @@ __all__ = [
     "Heuristic",
     "LandmarkIndex",
     "SearchPolicy",
-    "astar",
-    "bidirectional_dijkstra",
     "lattice_coordinate",
     "lattice_scale",
     "manhattan_heuristic",
-    "multi_target_dijkstra",
     "UnionFind",
     "dense_mst",
     "kruskal_mst",

@@ -19,7 +19,6 @@ small integers and grid coordinates.
 
 from __future__ import annotations
 
-import warnings
 from typing import (
     Callable,
     Dict,
@@ -78,26 +77,6 @@ class Graph:
         # lineage — unfrozen graphs pay one None-check per mutation.
         self._dirty: Optional[set] = None
         self._dirty_added: List[Node] = []
-
-    @property
-    def _adj(self) -> Dict[Node, Dict[Node, float]]:
-        """Deprecated alias for the internal adjacency store.
-
-        .. deprecated::
-            Reaching into ``Graph._adj`` bypasses version tracking and
-            the frozen-view cache.  Use the public API instead:
-            :meth:`neighbor_items` / :meth:`neighbors` for iteration,
-            :meth:`freeze` for a flat snapshot.  This alias will be
-            removed one release after the :class:`GraphView` redesign.
-        """
-        warnings.warn(
-            "Graph._adj is deprecated; use neighbor_items()/neighbors() "
-            "or Graph.freeze() instead (removal one release after the "
-            "GraphView redesign)",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return self._adjacency
 
     # ------------------------------------------------------------------
     # mutation
@@ -297,8 +276,8 @@ class Graph:
         Returns a :class:`~repro.graph.flat.GraphView` whose flat
         int-indexed arrays mirror the current adjacency exactly —
         same node enumeration order, same per-node neighbor order —
-        so the flat search kernels replicate the dict kernels'
-        tie-breaking bit for bit.  The view is cached per
+        so the flat search kernels break ties exactly as a search over
+        the dict adjacency would.  The view is cached per
         :attr:`version`: repeated calls between mutations are free,
         and any mutation (commit, uncommit, reweight, pin attach)
         transparently invalidates it.

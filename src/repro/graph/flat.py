@@ -15,7 +15,7 @@ This module provides that representation:
   table mapping int ids back to the original node objects.  Node
   enumeration order and per-row neighbor order mirror the source
   graph's dict insertion order **exactly** — that is what lets the flat
-  kernels reproduce the dict kernels' tie-breaking bit for bit.
+  kernels reproduce a dict-adjacency search's tie-breaking bit for bit.
 * :class:`GraphView` — a :class:`FlatGraph` stamped with the
   :attr:`Graph.version` it was frozen at.  ``Graph.freeze()`` memoizes
   one view per version, so any mutation transparently invalidates it.
@@ -25,35 +25,29 @@ This module provides that representation:
   few of them.  PathFinder negotiation freezes the device once per
   route this way and gives every net reroute its own overlay.
 * :func:`flat_dijkstra` / :func:`flat_astar` /
-  :func:`flat_bidirectional` — search kernels over int ids whose
-  returned ``(dist, pred)`` maps are **bit-identical** to
-  :func:`~repro.graph.shortest_paths.dijkstra`,
-  :func:`~repro.graph.search.astar` and
-  :func:`~repro.graph.search.bidirectional_dijkstra`: same float
-  values, same settled sets, same tie-breaking, and the same dict
-  *iteration order* (several consumers — PFA's ``pred.items()`` walk,
-  the dominance oracle's ``d0.items()`` scans — are order-sensitive).
+  :func:`flat_bidirectional` — the search kernels, over int ids.  They
+  are the only shortest-path kernels in the package:
+  :func:`~repro.graph.shortest_paths.dijkstra`, the
+  :class:`~repro.graph.shortest_paths.ShortestPathCache` and every
+  :class:`~repro.graph.search.SearchPolicy` backend run them on
+  ``Graph.freeze()``.
 
 Bit-identity contract
 ---------------------
-Each flat kernel replays the exact event sequence of its dict
-counterpart: one shared push counter, heap entries ``(key, counter,
-id)``, stale pops counted, the budget checked on every pop, the same
-early-exit and cutoff tests in the same order.  Distances are the same
-IEEE doubles because the arithmetic (``d + w`` per relaxation) happens
-in the same order on the same values; the result dicts are rebuilt in
-settlement order (``dist``) and first-relaxation order (``pred``) so
-order-sensitive consumers see no difference.  The differential harness
-and golden files in ``tests/differential/`` gate this contract.
-
-Backend selection
------------------
-:data:`GRAPH_BACKENDS` is the ``RouterConfig.graph_backend`` /
-``--graph-backend`` vocabulary.  ``"auto"`` (the default) uses the flat
-core once a graph reaches :data:`FLAT_AUTO_THRESHOLD` nodes — below
-that the freeze cost outweighs the per-relaxation savings — and keeps
-the dict kernels for small graphs.  PathFinder negotiation is outside
-this choice: it always searches overlays of one frozen device.
+Each kernel replays the event sequence of the textbook search over the
+dict adjacency — one shared push counter, heap entries ``(key,
+counter, id)``, stale pops counted, the budget checked on every pop,
+the same early-exit and cutoff tests in the same order — so its
+``(dist, pred)`` maps equal that search's exactly: the same IEEE
+doubles (the arithmetic ``d + w`` per relaxation happens in the same
+order on the same values), the same settled sets, the same
+tie-breaking, and the same dict *iteration order*: ``dist`` in
+settlement order and ``pred`` in first-relaxation order.  Several
+consumers are order-sensitive — PFA's ``pred.items()`` walk, the
+dominance oracle's walk over the settled sequence.  The dict-adjacency
+searches survive as the reference oracle of the test suites
+(``tests/reference_kernels.py``), and the golden files in
+``tests/differential/`` pin whole routes.
 """
 
 from __future__ import annotations
@@ -79,13 +73,6 @@ from .shortest_paths import get_dijkstra_budget, get_dijkstra_counters
 
 Node = Hashable
 INF = float("inf")
-
-#: the RouterConfig.graph_backend vocabulary
-GRAPH_BACKENDS = ("dict", "flat", "auto")
-
-#: "auto" switches to the flat core at this node count: below it the
-#: O(V+E) freeze outweighs the per-relaxation hashing it saves
-FLAT_AUTO_THRESHOLD = 256
 
 
 def _extend_coords(
@@ -113,24 +100,6 @@ def _extend_coords(
             ys[i] = c[1]
             valid[i] = True
     return (xs, ys, valid)
-
-
-def resolve_graph_backend(choice: str, graph) -> str:
-    """Resolve a :data:`GRAPH_BACKENDS` choice to ``"dict"``/``"flat"``.
-
-    ``graph`` only needs a ``num_nodes`` attribute; it is consulted for
-    the ``"auto"`` size heuristic.
-    """
-    if choice == "dict":
-        return "dict"
-    if choice == "flat":
-        return "flat"
-    if choice != "auto":
-        raise GraphError(
-            f"unknown graph backend {choice!r}; "
-            f"expected one of {GRAPH_BACKENDS}"
-        )
-    return "flat" if graph.num_nodes >= FLAT_AUTO_THRESHOLD else "dict"
 
 
 class FlatGraph:
@@ -647,8 +616,7 @@ class GraphView:
     ``Graph.freeze()`` returns one of these and memoizes it until the
     next mutation; consumers holding a view can cheaply check whether
     it still describes a graph via :meth:`fresh`.  The search methods
-    delegate to the flat kernels, which are bit-identical to the dict
-    kernels (see the module docstring).
+    delegate to the flat kernels (see the module docstring).
     """
 
     __slots__ = ("flat", "version", "_source")
@@ -729,10 +697,11 @@ def flat_dijkstra(
 ) -> Tuple[Dict[Node, float], Dict[Node, Node]]:
     """Plain Dijkstra over the CSR arrays.
 
-    Bit-identical to :func:`~repro.graph.shortest_paths.dijkstra` on
-    the graph ``flat`` was frozen from: identical ``(dist, pred)``
-    values, identical tie-breaking, and identical dict iteration order
-    (``dist`` in settlement order, ``pred`` in first-relaxation order).
+    Bit-identical to the reference dict-adjacency Dijkstra on the graph
+    ``flat`` was frozen from (see the module docstring): identical
+    ``(dist, pred)`` values, identical tie-breaking, and identical dict
+    iteration order (``dist`` in settlement order, ``pred`` in
+    first-relaxation order).
     Budget checks and counter recording follow the same per-pop /
     per-call cadence as the dict kernel.
 
@@ -841,7 +810,7 @@ def flat_astar(
 ) -> Tuple[Dict[Node, float], Dict[Node, Node]]:
     """Goal-directed A* over the CSR arrays.
 
-    Bit-identical to :func:`~repro.graph.search.astar` under the same
+    Bit-identical to the reference dict-adjacency A* under the same
     heuristic.  Manhattan heuristics (``heuristic.key[0] ==
     "manhattan"``) are evaluated through a vectorized per-id table —
     elementwise the identical IEEE arithmetic as the scalar closure —
@@ -925,10 +894,10 @@ def flat_bidirectional(
 ) -> Tuple[float, Optional[List[Node]]]:
     """Two-frontier Dijkstra over the CSR arrays.
 
-    Bit-identical to
-    :func:`~repro.graph.search.bidirectional_dijkstra`: the shared push
-    counter, the forward-on-ties frontier selection and the meeting
-    rule replay the dict kernel's event sequence exactly, so the same
+    Bit-identical to the reference dict-adjacency bidirectional search:
+    the shared push counter, the forward-on-ties frontier selection and
+    the meeting rule replay the dict kernel's event sequence exactly,
+    so the same
     meeting node is found and the re-accumulated forward-order distance
     is the same IEEE double.
     """

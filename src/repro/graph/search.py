@@ -1,4 +1,4 @@
-"""Goal-directed shortest-path kernels: A*, bidirectional Dijkstra, ALT.
+"""Goal-directed search: A*, bidirectional Dijkstra, ALT heuristics.
 
 Every construction in the paper — the KMB/Mehlhorn metric closures, the
 dominance predicates of Section 4, and the router's maze expansion —
@@ -6,18 +6,21 @@ bottoms out in :func:`repro.graph.shortest_paths.dijkstra`, so it is the
 hottest path in the codebase.  Goal-oriented search with admissible
 lower bounds (Hougardy et al., *Dijkstra meets Steiner*) prunes most of
 the frontier while preserving exactness, and production FPGA routers
-run exactly this shape of A* over the routing-resource graph.  This
-module provides the kernels; :class:`SearchPolicy` packages them for
+run exactly this shape of A* over the routing-resource graph.  The
+kernels live in :mod:`repro.graph.flat` and run on a graph's frozen CSR
+view; this module provides the heuristics, and :class:`SearchPolicy`
+packages both for
 :class:`~repro.graph.shortest_paths.ShortestPathCache`.
 
 Exactness contract
 ------------------
-* :func:`astar` with an *admissible and consistent* heuristic settles
-  nodes with their exact distance, so ``dist[target]`` equals the plain
-  Dijkstra distance whenever ``target`` is reachable.
-* :func:`bidirectional_dijkstra` uses the standard two-frontier
-  stopping rule (``top_f + top_b >= mu``) and returns the exact
-  distance.
+* :func:`~repro.graph.flat.flat_astar` with an *admissible and
+  consistent* heuristic settles nodes with their exact distance, so
+  ``dist[target]`` equals the plain Dijkstra distance whenever
+  ``target`` is reachable.
+* :func:`~repro.graph.flat.flat_bidirectional` uses the standard
+  two-frontier stopping rule (``top_f + top_b >= mu``) and returns the
+  exact distance.
 * Neither kernel reproduces plain Dijkstra's equal-cost tie-breaking
   (A* pops by ``g + h``, the bidirectional search meets in the middle),
   so the cache wiring uses them **only for distance queries**.
@@ -43,23 +46,12 @@ weight.  :class:`LandmarkIndex` provides the general-graph fallback
 
 from __future__ import annotations
 
-import heapq
 from typing import Callable, Dict, Hashable, List, Optional, Sequence, Tuple
 
 from ..errors import GraphError
 from .core import Graph
-from .flat import (
-    GRAPH_BACKENDS,
-    FlatGraph,
-    flat_negotiated_search,
-    resolve_graph_backend,
-)
-from .shortest_paths import (
-    dijkstra,
-    get_dijkstra_budget,
-    get_dijkstra_counters,
-    reconstruct_path,
-)
+from .flat import FlatGraph, flat_negotiated_search
+from .shortest_paths import dijkstra
 
 Node = Hashable
 INF = float("inf")
@@ -257,178 +249,6 @@ class LandmarkIndex:
         )
 
 
-def astar(
-    graph: Graph,
-    source: Node,
-    target: Node,
-    heuristic: Callable[[Node], float],
-    cutoff: Optional[float] = None,
-) -> Tuple[Dict[Node, float], Dict[Node, Node]]:
-    """Goal-directed Dijkstra (A*) from ``source`` toward ``target``.
-
-    ``heuristic`` must be an admissible, consistent lower bound on the
-    distance to ``target`` (see the module docstring); under that
-    contract every settled node carries its exact distance, and the
-    search stops as soon as ``target`` is settled.  A node whose
-    heuristic is infinite is provably unable to reach the target and is
-    pruned outright.
-
-    Returns ``(dist, pred)`` over the settled prefix, exactly like
-    :func:`~repro.graph.shortest_paths.dijkstra` — but note the settled
-    *set* and the ``pred`` tie-breaking differ from plain Dijkstra's,
-    so the result must never be cached as a plain run (the
-    :class:`~repro.graph.shortest_paths.ShortestPathCache` keys kernel
-    results separately for exactly this reason).
-    """
-    if not graph.has_node(source):
-        raise GraphError(f"source {source!r} not in graph")
-    if not graph.has_node(target):
-        raise GraphError(f"target {target!r} not in graph")
-    dist: Dict[Node, float] = {}
-    pred: Dict[Node, Node] = {}
-    seen = {source: 0.0}
-    counter = 0
-    pops = 0
-    budget = get_dijkstra_budget()
-    # (f = g + h, tie counter, g, node): the explicit g avoids deriving
-    # it from f by float subtraction
-    heap: List[Tuple[float, int, float, Node]] = [
-        (heuristic(source), 0, 0.0, source)
-    ]
-    while heap:
-        _, _, g, u = heapq.heappop(heap)
-        pops += 1
-        if budget is not None:
-            budget.check(pops, counter, backend="astar")
-        if u in dist:
-            continue
-        dist[u] = g
-        if u == target:
-            break
-        for v, w in graph.neighbor_items(u):
-            if v in dist:
-                continue
-            ng = g + w
-            if cutoff is not None and ng > cutoff:
-                continue
-            if v not in seen or ng < seen[v]:
-                hv = heuristic(v)
-                if hv == INF:
-                    continue
-                seen[v] = ng
-                pred[v] = u
-                counter += 1
-                heapq.heappush(heap, (ng + hv, counter, ng, v))
-    counters = get_dijkstra_counters()
-    if counters is not None:
-        counters.record(pops, counter, len(heap))
-    return dist, pred
-
-
-def bidirectional_dijkstra(
-    graph: Graph, source: Node, target: Node
-) -> Tuple[float, Optional[List[Node]]]:
-    """Two-frontier Dijkstra for a single ``source → target`` query.
-
-    Expands the frontier with the smaller tentative key (forward on
-    ties) and stops once the frontier keys sum past the best meeting
-    cost — the standard exact stopping rule.  Returns ``(distance,
-    path)``; ``(inf, None)`` when the endpoints are disconnected.  The
-    distance is re-accumulated in forward edge order along the found
-    path so it is bit-identical to what any forward kernel computes for
-    that path (the meeting-rule sum adds the backward half in reverse
-    order, which float non-associativity can shift by one ulp).  The
-    path is *a* shortest path whose tie-breaking differs from plain
-    Dijkstra's, so it is never used where canonical paths are required.
-    """
-    if not graph.has_node(source):
-        raise GraphError(f"source {source!r} not in graph")
-    if not graph.has_node(target):
-        raise GraphError(f"target {target!r} not in graph")
-    if source == target:
-        return 0.0, [source]
-    budget = get_dijkstra_budget()
-    dist_f: Dict[Node, float] = {}
-    dist_b: Dict[Node, float] = {}
-    seen_f = {source: 0.0}
-    seen_b = {target: 0.0}
-    pred_f: Dict[Node, Node] = {}
-    pred_b: Dict[Node, Node] = {}
-    heap_f: List[Tuple[float, int, Node]] = [(0.0, 0, source)]
-    heap_b: List[Tuple[float, int, Node]] = [(0.0, 0, target)]
-    counter = 0
-    pops = 0
-    best = INF
-    meet: Optional[Node] = None
-    while heap_f and heap_b:
-        if heap_f[0][0] + heap_b[0][0] >= best:
-            break
-        if heap_f[0][0] <= heap_b[0][0]:
-            heap, dist, seen = heap_f, dist_f, seen_f
-            pred, other_dist, other_seen = pred_f, dist_b, seen_b
-        else:
-            heap, dist, seen = heap_b, dist_b, seen_b
-            pred, other_dist, other_seen = pred_b, dist_f, seen_f
-        d, _, u = heapq.heappop(heap)
-        pops += 1
-        if budget is not None:
-            budget.check(pops, counter, backend="bidir")
-        if u in dist:
-            continue
-        dist[u] = d
-        du_other = other_dist.get(u)
-        if du_other is not None and d + du_other < best:
-            best = d + du_other
-            meet = u
-        for v, w in graph.neighbor_items(u):
-            if v in dist:
-                continue
-            nd = d + w
-            if v not in seen or nd < seen[v]:
-                seen[v] = nd
-                pred[v] = u
-                counter += 1
-                heapq.heappush(heap, (nd, counter, v))
-            dv_other = other_seen.get(v)
-            if dv_other is not None and nd + dv_other < best:
-                # any tentative other-side label is a realizable path
-                # length, so this only ever tightens the bound
-                best = nd + dv_other
-                meet = v
-    counters = get_dijkstra_counters()
-    if counters is not None:
-        counters.record(pops, counter, len(heap_f) + len(heap_b))
-    if meet is None:
-        return INF, None
-    path = reconstruct_path(pred_f, source, meet)
-    node = meet
-    while node != target:
-        node = pred_b[node]
-        path.append(node)
-    # re-accumulate the distance in forward order along the found path:
-    # ``best`` sums the backward half in reverse edge order, and float
-    # addition is not associative, so it can sit one ulp away from the
-    # forward-order sum every other kernel produces
-    d = 0.0
-    for a, b in zip(path, path[1:]):
-        d += graph.weight(a, b)
-    return d, path
-
-
-def multi_target_dijkstra(
-    graph: Graph, source: Node, targets: Sequence[Node]
-) -> Tuple[Dict[Node, float], Dict[Node, Node]]:
-    """Early-exit Dijkstra that stops once every target is settled.
-
-    A thin named wrapper over ``dijkstra(graph, source, targets=...)``
-    documenting the property the cache wiring relies on: the early-exit
-    run executes an identical prefix of the full run, so the distances
-    *and predecessors* of every settled node — in particular every
-    reachable target — are bit-identical to the full run's.
-    """
-    return dijkstra(graph, source, targets=targets)
-
-
 class SearchPolicy:
     """How a :class:`ShortestPathCache` answers point-to-point queries.
 
@@ -456,18 +276,9 @@ class SearchPolicy:
         Dijkstra per landmark and is rebuilt whenever the graph
         version changes — intended for static general graphs, never
         for the mutating routing graph.
-    graph_backend:
-        One of :data:`~repro.graph.flat.GRAPH_BACKENDS`.  ``"flat"``
-        runs every plain and goal-directed kernel over the graph's
-        frozen CSR view (``Graph.freeze()``); ``"dict"`` keeps the
-        historical dict-adjacency kernels; ``"auto"`` (default) picks
-        flat once the graph is large enough to amortize the freeze.
-        The flat kernels are bit-identical to the dict kernels, so
-        this switch changes throughput, never results.  It does not
-        apply to :meth:`negotiated_search`, which always searches a
-        frozen snapshot.
 
-    All distances computed through a policy are exact, so any backend
+    Every plain and goal-directed kernel runs over the graph's frozen
+    CSR view (``Graph.freeze()``).  All distances computed through a policy are exact, so any backend
     may share a cache's pair-distance store; the policy's :meth:`key`
     still participates in cache keying so that differently-configured
     runs are never conflated.
@@ -477,7 +288,6 @@ class SearchPolicy:
         "backend",
         "heuristic_scale",
         "landmarks",
-        "graph_backend",
         "_scale_graph",
         "_scale_version",
         "_scale",
@@ -490,7 +300,6 @@ class SearchPolicy:
         *,
         heuristic_scale: Optional[float] = None,
         landmarks: int = 0,
-        graph_backend: str = "auto",
     ) -> None:
         if backend not in SEARCH_BACKENDS:
             raise GraphError(
@@ -503,24 +312,16 @@ class SearchPolicy:
             )
         if landmarks < 0:
             raise GraphError(f"landmarks must be >= 0, got {landmarks}")
-        if graph_backend not in GRAPH_BACKENDS:
-            raise GraphError(
-                f"unknown graph backend {graph_backend!r}; "
-                f"expected one of {GRAPH_BACKENDS}"
-            )
         self.backend = backend
         self.heuristic_scale = heuristic_scale
         self.landmarks = landmarks
-        self.graph_backend = graph_backend
         self._scale_graph: Optional[int] = None
         self._scale_version: Optional[int] = None
         self._scale: Optional[float] = None
         self._alt: Optional[LandmarkIndex] = None
 
     @classmethod
-    def for_architecture(
-        cls, backend: str, arch, graph_backend: str = "auto"
-    ) -> "SearchPolicy":
+    def for_architecture(cls, backend: str, arch) -> "SearchPolicy":
         """The router's policy: Manhattan scale from the architecture.
 
         ``min(segment_weight, pin_weight)`` bounds the cost of any
@@ -530,44 +331,12 @@ class SearchPolicy:
         """
         scale = min(arch.segment_weight, arch.pin_weight)
         if scale <= 0:
-            return cls(backend, graph_backend=graph_backend)
-        return cls(
-            backend,
-            heuristic_scale=scale,
-            graph_backend=graph_backend,
-        )
+            return cls(backend)
+        return cls(backend, heuristic_scale=scale)
 
     def key(self) -> Tuple:
         """Hashable identity (backend + heuristic configuration)."""
-        return (
-            self.backend,
-            self.heuristic_scale,
-            self.landmarks,
-            self.graph_backend,
-        )
-
-    def graph_kernel(self, graph: Graph) -> str:
-        """``"flat"`` or ``"dict"`` — the plain kernel for ``graph``."""
-        return resolve_graph_backend(self.graph_backend, graph)
-
-    def plain_sssp(
-        self,
-        graph: Graph,
-        source: Node,
-        targets=None,
-        cutoff: Optional[float] = None,
-    ):
-        """Plain (possibly limited) Dijkstra via the resolved backend.
-
-        This is the cache's entry point for every canonical run: the
-        flat and dict kernels return bit-identical ``(dist, pred)``
-        maps, so which one executes is purely a throughput choice.
-        """
-        if self.graph_kernel(graph) == "flat":
-            return graph.freeze().sssp(
-                source, targets=targets, cutoff=cutoff
-            )
-        return dijkstra(graph, source, targets=targets, cutoff=cutoff)
+        return (self.backend, self.heuristic_scale, self.landmarks)
 
     def _scale_for(self, graph: Graph) -> Optional[float]:
         if self.heuristic_scale is not None:
@@ -648,23 +417,14 @@ class SearchPolicy:
         """Exact ``minpath(u, v)`` via the configured kernel (inf if
         disconnected)."""
         backend = self.backend
-        use_flat = self.graph_kernel(graph) == "flat"
+        view = graph.freeze()
         if backend == "dijkstra":
-            if use_flat:
-                dist, _ = graph.freeze().sssp(u, targets=[v])
-            else:
-                dist, _ = dijkstra(graph, u, targets=[v])
+            dist, _ = view.sssp(u, targets=[v])
             return dist.get(v, INF)
         if backend in ("astar", "auto"):
             h = self.heuristic_for(graph, v)
             if h is not None:
-                if use_flat:
-                    dist, _ = graph.freeze().astar(u, v, h)
-                else:
-                    dist, _ = astar(graph, u, v, h)
+                dist, _ = view.astar(u, v, h)
                 return dist.get(v, INF)
-        if use_flat:
-            d, _ = graph.freeze().bidirectional(u, v)
-            return d
-        d, _ = bidirectional_dijkstra(graph, u, v)
+        d, _ = view.bidirectional(u, v)
         return d

@@ -26,12 +26,11 @@ query from a cached *full* run — is always sound and is done eagerly.
 
 from __future__ import annotations
 
-import heapq
 import threading
 import time
 from typing import Dict, Hashable, Iterable, List, Optional, Tuple
 
-from ..errors import DisconnectedError, EngineTimeoutError, GraphError
+from ..errors import DisconnectedError, EngineTimeoutError
 from .core import Graph, edge_key
 
 Node = Hashable
@@ -248,52 +247,14 @@ def dijkstra(
 
     Notes
     -----
-    Ties between equal-cost paths are broken by heap insertion order,
-    which is deterministic given a deterministic graph construction
-    order; all generators in :mod:`repro.graph.generators` are seeded.
+    The search runs the CSR kernel
+    (:func:`~repro.graph.flat.flat_dijkstra`) on ``graph.freeze()``,
+    which is memoized per graph version.  Ties between equal-cost paths
+    are broken by heap insertion order, which is deterministic given a
+    deterministic graph construction order; all generators in
+    :mod:`repro.graph.generators` are seeded.
     """
-    if not graph.has_node(source):
-        raise GraphError(f"source {source!r} not in graph")
-    remaining = set(targets) if targets is not None else None
-    if remaining is not None:
-        remaining.discard(source)
-
-    dist: Dict[Node, float] = {}
-    pred: Dict[Node, Node] = {}
-    seen = {source: 0.0}
-    counter = 0
-    pops = 0
-    budget = _BUDGET
-    heap: List[Tuple[float, int, Node]] = [(0.0, counter, source)]
-    while heap:
-        d, _, u = heapq.heappop(heap)
-        pops += 1
-        if budget is not None:
-            budget.check(pops, counter, backend="dijkstra")
-        if u in dist:
-            continue
-        dist[u] = d
-        if remaining is not None:
-            remaining.discard(u)
-            if not remaining:
-                break
-        for v, w in graph.neighbor_items(u):
-            if v in dist:
-                continue
-            nd = d + w
-            if cutoff is not None and nd > cutoff:
-                continue
-            if v not in seen or nd < seen[v]:
-                seen[v] = nd
-                pred[v] = u
-                counter += 1
-                heapq.heappush(heap, (nd, counter, v))
-    counters = _COUNTERS
-    if counters is not None:
-        # leftover heap entries were never popped: frontier pruned by
-        # an early exit / cutoff (plus stale duplicates on full runs)
-        counters.record(pops, counter, len(heap))
-    return dist, pred
+    return graph.freeze().sssp(source, targets=targets, cutoff=cutoff)
 
 
 def reconstruct_path(
@@ -332,7 +293,8 @@ class ShortestPathCache:
     """Memoized single-source shortest-path trees for one graph.
 
     The cache stores, per source node, the full ``(dist, pred)`` result of
-    an untruncated Dijkstra run.  Entries are invalidated automatically
+    an untruncated Dijkstra run over the graph's frozen CSR view
+    (:meth:`Graph.freeze`).  Entries are invalidated automatically
     when :attr:`Graph.version` changes, so the router can mutate the graph
     between nets and keep using the same cache object.
 
@@ -360,12 +322,11 @@ class ShortestPathCache:
     * :meth:`dist` consults a pair-distance store and computes misses
       with the policy's kernel (A*/bidirectional).  Pair values are
       exact, hence backend-independent — but kernel ``(dist, pred)``
-      maps are *never* stored where plain-Dijkstra results live: the
-      partial-store key carries the kernel name, and A*/bidirectional
-      results are reduced to bare floats.  An endpoint that keeps
-      missing (``PAIR_PROMOTE`` kernel computes) is promoted to a full
-      SSSP so closure-style workloads never do worse than the plain
-      backend.
+      maps are *never* stored where plain-Dijkstra results live:
+      A*/bidirectional results are reduced to bare floats.  An
+      endpoint that keeps missing (``PAIR_PROMOTE`` kernel computes)
+      is promoted to a full SSSP so closure-style workloads never do
+      worse than the plain backend.
     * :meth:`path` becomes *canonically source-rooted*: the path is
       always reconstructed from a (possibly early-exit) plain Dijkstra
       run rooted at the query's source, independent of what happens to
@@ -390,17 +351,11 @@ class ShortestPathCache:
     def __init__(self, graph: Graph, search=None):
         self._graph = graph
         self._store: Dict[Node, Entry] = {}
-        #: producing kernel ("dijkstra" = dict, "flat" = CSR) per full
-        #: entry — a full SSSP computed by one graph backend is never
-        #: served where the other backend's results are expected (the
-        #: same defense the partial keys carry, see _partial_key)
-        self._store_kernel: Dict[Node, str] = {}
-        #: limited runs, keyed (source, frozenset(targets)|None, cutoff,
-        #: kernel) — the kernel component guarantees a goal-directed
-        #: run can never be served where a plain-Dijkstra result is
-        #: expected
+        #: limited plain runs, keyed (source, frozenset(targets)|None,
+        #: cutoff); goal-directed runs are reduced to bare floats and
+        #: never stored here
         self._partial_store: Dict[Tuple, Entry] = {}
-        #: plain-Dijkstra partial keys per source, for coverage lookups
+        #: partial keys per source, for coverage lookups
         self._partial_index: Dict[Node, List[Tuple]] = {}
         #: exact point-to-point distances, keyed (policy key, edge key)
         self._pair_store: Dict[Tuple, float] = {}
@@ -429,7 +384,6 @@ class ShortestPathCache:
             + len(self._pair_store)
         )
         self._store.clear()
-        self._store_kernel.clear()
         self._partial_store.clear()
         self._partial_index.clear()
         self._pair_store.clear()
@@ -477,48 +431,16 @@ class ShortestPathCache:
         self.invalidations = 0
         self.entries_invalidated = 0
 
-    def _plain_kernel(self) -> str:
-        """The active plain-Dijkstra kernel: ``"dijkstra"`` (dict
-        adjacency) or ``"flat"`` (CSR view), per the attached policy's
-        graph backend.  Both produce bit-identical results; the tag
-        exists so cached entries are never served across a backend
-        flip (e.g. a policy swap after :meth:`rebind`)."""
-        policy = self._search
-        if policy is None:
-            return "dijkstra"
-        return (
-            "flat"
-            if policy.graph_kernel(self._graph) == "flat"
-            else "dijkstra"
-        )
-
     def _plain_run(
         self,
         source: Node,
         targets: Optional[Iterable[Node]] = None,
         cutoff: Optional[float] = None,
     ) -> Entry:
-        """One canonical (possibly limited) run via the active kernel."""
-        if self._plain_kernel() == "flat":
-            return self._graph.freeze().sssp(
-                source, targets=targets, cutoff=cutoff
-            )
-        return dijkstra(
-            self._graph, source, targets=targets, cutoff=cutoff
+        """One canonical (possibly limited) run on the frozen graph."""
+        return self._graph.freeze().sssp(
+            source, targets=targets, cutoff=cutoff
         )
-
-    def _full_entry(self, source: Node) -> Optional[Entry]:
-        """The stored full run for ``source`` — only if its producing
-        kernel matches the active one; a mismatched entry is dropped
-        and recomputed rather than served."""
-        entry = self._store.get(source)
-        if entry is None:
-            return None
-        if self._store_kernel.get(source) != self._plain_kernel():
-            del self._store[source]
-            self._store_kernel.pop(source, None)
-            return None
-        return entry
 
     def sssp(self, source: Node) -> Entry:
         """Full shortest-path tree from ``source`` (memoized).
@@ -526,15 +448,13 @@ class ShortestPathCache:
         Only complete, untruncated runs are stored under the plain
         ``source`` key — a partial entry for the same source (from
         :meth:`sssp_limited`) is never promoted to answer this query.
-        Each stored entry carries the kernel that produced it.
         """
         self._check_version()
-        entry = self._full_entry(source)
+        entry = self._store.get(source)
         if entry is None:
             self.misses += 1
             entry = self._plain_run(source)
             self._store[source] = entry
-            self._store_kernel[source] = self._plain_kernel()
         else:
             self.hits += 1
         return entry
@@ -544,29 +464,25 @@ class ShortestPathCache:
         source: Node,
         targets: Optional[Iterable[Node]],
         cutoff: Optional[float],
-        kernel: str = "dijkstra",
     ) -> Tuple:
         targets_key = None if targets is None else frozenset(targets)
-        return (source, targets_key, cutoff, kernel)
+        return (source, targets_key, cutoff)
 
     def _index_partial(self, source: Node, key: Tuple) -> None:
-        """Register a plain-Dijkstra partial entry for coverage lookups."""
+        """Register a partial entry for coverage lookups."""
         self._partial_index.setdefault(source, []).append(key)
 
     def _partial_covering(
         self, source: Node, target: Node
     ) -> Optional[Entry]:
-        """A plain-Dijkstra partial run from ``source`` that settled
-        ``target``, if one is stored.
+        """A partial run from ``source`` that settled ``target``, if one
+        is stored.
 
         A node *present* in a limited run's ``dist`` map was settled,
         so its distance and predecessor chain are bit-identical to the
         full run's (absence still proves nothing).
         """
-        plain = self._plain_kernel()
         for key in self._partial_index.get(source, ()):
-            if key[3] != plain:
-                continue
             entry = self._partial_store.get(key)
             if entry is not None and target in entry[0]:
                 return entry
@@ -590,13 +506,11 @@ class ShortestPathCache:
         if targets is None and cutoff is None:
             return self.sssp(source)
         self._check_version()
-        full = self._full_entry(source)
+        full = self._store.get(source)
         if full is not None:
             self.hits += 1
             return full
-        key = self._partial_key(
-            source, targets, cutoff, self._plain_kernel()
-        )
+        key = self._partial_key(source, targets, cutoff)
         entry = self._partial_store.get(key)
         if entry is None:
             self.misses += 1
@@ -620,11 +534,11 @@ class ShortestPathCache:
         answer is independent of the backend.
         """
         self._check_version()
-        entry = self._full_entry(source)
+        entry = self._store.get(source)
         if entry is not None:
             self.hits += 1
             return entry[0].get(target, INF)
-        entry = self._full_entry(target)
+        entry = self._store.get(target)
         if entry is not None:
             self.hits += 1
             return entry[0].get(source, INF)
@@ -676,7 +590,7 @@ class ShortestPathCache:
         fallback reconstructs from a target-rooted full run instead.
         """
         self._check_version()
-        full = self._full_entry(source)
+        full = self._store.get(source)
         if full is not None:
             self.hits += 1
             dist, pred = full
@@ -694,9 +608,7 @@ class ShortestPathCache:
         if entry is None:
             self.misses += 1
             entry = self._plain_run(source, targets=[target])
-            key = self._partial_key(
-                source, [target], None, self._plain_kernel()
-            )
+            key = self._partial_key(source, [target], None)
             self._partial_store[key] = entry
             self._index_partial(source, key)
         else:

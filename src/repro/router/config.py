@@ -12,7 +12,6 @@ from dataclasses import dataclass, field, replace
 from typing import Optional
 
 from ..errors import RoutingError
-from ..graph.flat import GRAPH_BACKENDS
 from ..graph.search import SEARCH_BACKENDS
 
 #: algorithms the router can dispatch per net
@@ -106,19 +105,6 @@ class RouterConfig:
         routing trees — goal-directed kernels are used only for exact
         distance queries, and canonical paths always come from plain
         Dijkstra runs (see ``docs/search.md``).
-    graph_backend:
-        Graph-core selection, one of
-        :data:`~repro.graph.flat.GRAPH_BACKENDS`.  ``"dict"`` runs
-        every search over the mutable dict-adjacency
-        :class:`~repro.graph.core.Graph`; ``"flat"`` freezes the graph
-        into a CSR :class:`~repro.graph.flat.GraphView` per net and
-        runs the int-indexed flat kernels; ``"auto"`` (the default)
-        picks flat once the routing graph is large enough to amortize
-        the freeze.  The flat kernels are bit-identical to the dict
-        kernels — this switch changes wall-clock, never results (see
-        ``docs/graph.md``).  It does not affect ``mode="negotiate"``,
-        which always searches per-net overlays of one frozen device
-        snapshot (``docs/pathfinder.md``).
     mode:
         Top-level routing strategy, one of :data:`MODES`.  ``"paper"``
         (default) is the paper's rip-up-and-retry loop over disjoint
@@ -182,7 +168,6 @@ class RouterConfig:
     route_timeout_s: Optional[float] = None
     max_relaxations: Optional[int] = None
     search: str = "auto"
-    graph_backend: str = "auto"
     verify: str = "off"
     mode: str = "paper"
     timing: bool = False
@@ -221,11 +206,6 @@ class RouterConfig:
             raise RoutingError(
                 f"unknown search backend {self.search!r}; "
                 f"expected one of {SEARCH_BACKENDS}"
-            )
-        if self.graph_backend not in GRAPH_BACKENDS:
-            raise RoutingError(
-                f"unknown graph backend {self.graph_backend!r}; "
-                f"expected one of {GRAPH_BACKENDS}"
             )
         if self.algorithm not in ALGORITHMS:
             raise RoutingError(

@@ -150,15 +150,9 @@ class FPGARouter:
 
         The Manhattan scale comes from the architecture
         (``min(segment_weight, pin_weight)``), so it stays admissible
-        as pins attach/detach and congestion raises edge weights.  The
-        policy also carries the config's graph backend, so every cache
-        query dispatches to the flat or dict kernels accordingly.
+        as pins attach/detach and congestion raises edge weights.
         """
-        return SearchPolicy.for_architecture(
-            self.config.search,
-            self.arch,
-            graph_backend=self.config.graph_backend,
-        )
+        return SearchPolicy.for_architecture(self.config.search, self.arch)
 
     # ------------------------------------------------------------------
     # net ordering

@@ -77,10 +77,21 @@ DEFAULT_STALE_AFTER_S = 30.0
 
 _FAMILIES = {"xc3000": xc3000, "xc4000": xc4000}
 
+#: the values of ``graph_backend``, a removed field that selected a
+#: search substrate and never changed a result; stored requests and
+#: older clients still carry it
+_LEGACY_GRAPH_BACKENDS = ("dict", "flat", "auto")
+
 
 def config_from_dict(doc: Dict[str, Any]) -> RouterConfig:
-    """Rebuild a :class:`RouterConfig` from its request serialization."""
+    """Rebuild a :class:`RouterConfig` from its request serialization.
+
+    A legacy ``graph_backend`` key is dropped; any other unknown key
+    is rejected by the constructor.
+    """
     kwargs = dict(doc)
+    if kwargs.get("graph_backend") in _LEGACY_GRAPH_BACKENDS:
+        del kwargs["graph_backend"]
     nets = kwargs.get("critical_nets")
     if nets is not None:
         kwargs["critical_nets"] = frozenset(nets)

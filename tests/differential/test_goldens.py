@@ -29,6 +29,8 @@ GOLDEN_CASES = {
     "tiny_xc3000_ikmb": ("tiny_xc3000", dict(algorithm="ikmb")),
     "tiny_xc3000_pfa": ("tiny_xc3000", dict(algorithm="pfa")),
     "tiny_xc3000_idom": ("tiny_xc3000", dict(algorithm="idom")),
+    "tiny_xc3000_djka": ("tiny_xc3000", dict(algorithm="djka")),
+    "tiny_xc3000_dom": ("tiny_xc3000", dict(algorithm="dom")),
     "tiny_xc4000_ikmb": ("tiny_xc4000", dict(algorithm="ikmb")),
     "mini_xc3000_izel": (
         "mini_xc3000",
@@ -83,7 +85,8 @@ def test_goldens_complete():
         os.path.splitext(name)[0]
         for name in os.listdir(GOLDEN_DIR)
         if name.endswith(".json")
-        # negotiation goldens are owned by test_negotiation.py
-        and not name.startswith("nego_")
+        # negotiation goldens are owned by test_negotiation.py, and
+        # channel-width goldens by test_graph_backend_equivalence.py
+        and not name.startswith(("nego_", "width_"))
     }
     assert on_disk == set(GOLDEN_CASES)

@@ -1,28 +1,70 @@
-"""The flat CSR graph core must be indistinguishable from dict search.
+"""One search substrate: every route of the matrix matches its golden.
 
-``RouterConfig.graph_backend`` promises that ``"flat"`` (and ``"auto"``
-when it resolves to flat) changes *how fast* searches run, never *what*
-gets routed.  This module replays the same workloads — the acceptance
-algorithms (PFA / IDOM / DJKA / DOM), each execution engine, the
-search-backend matrix, and the full channel-width negotiation — under
-the flat backend and asserts bit-identical results against the
-``"dict"`` reference: identical trees edge-for-edge, identical
-wirelengths, identical pass counts and channel widths.
+Every search runs on the frozen CSR core (``Graph.freeze()``); the
+dict-adjacency kernels that used to be the reference here are gone
+from the package.  This module replays the workloads that certified
+the CSR core against them — the acceptance algorithms (PFA / IDOM /
+DJKA / DOM / IKMB on XC3000, IKMB on XC4000), each execution engine,
+the search-backend matrix, and the full channel-width search — and
+asserts bit-identical results against the committed goldens in
+``goldens/``: identical trees edge-for-edge, identical wirelengths,
+identical pass counts and channel widths.  Every golden used here
+equals a recording made on the dict kernels, so the goldens still pin
+the CSR core to them.
+
+``graph_backend`` is the removed config field that used to pick the
+substrate.  Requests stored before its removal carry it, so every case
+loads its config through the service's request loader with one of the
+field's old values, and must route exactly as the golden.
 """
 
 from __future__ import annotations
 
+import json
+import os
+
 import pytest
 
+from repro.engine import RoutingSession
 from repro.fpga import xc3000
 from repro.graph import SEARCH_BACKENDS
 from repro.router import RouterConfig, minimum_channel_width
+from repro.service import config_from_dict, config_to_dict
 
-from .conftest import route_once, result_signature
+from .conftest import result_signature
 
-#: backends that must match "dict" exactly (auto must match whichever
-#: way its size heuristic resolves)
+GOLDEN_DIR = os.path.join(os.path.dirname(__file__), "goldens")
+
+#: old values of the removed field that select the CSR core
 FLAT_BACKENDS = ["flat", "auto"]
+
+
+def golden(name):
+    path = os.path.join(GOLDEN_DIR, f"{name}.json")
+    with open(path, encoding="utf-8") as fh:
+        return json.load(fh)
+
+
+def signature(result):
+    """The JSON image the goldens store (tuples become lists)."""
+    return json.loads(json.dumps(result_signature(result)))
+
+
+def legacy_config(graph_backend, **kwargs):
+    """A config loaded the way a stored request carrying the removed
+    ``graph_backend`` field is."""
+    doc = config_to_dict(RouterConfig(**kwargs))
+    doc["graph_backend"] = graph_backend
+    return config_from_dict(doc)
+
+
+def route(arch, circuit, graph_backend, *, search="dijkstra",
+          engine="serial", max_workers=None, algorithm="ikmb"):
+    config = legacy_config(graph_backend, algorithm=algorithm,
+                           search=search, max_passes=6)
+    session = RoutingSession(arch, config, engine=engine,
+                             max_workers=max_workers)
+    return signature(session.route(circuit))
 
 
 class TestAlgorithmEquivalence:
@@ -32,104 +74,56 @@ class TestAlgorithmEquivalence:
         self, tiny_xc3000, algorithm, graph_backend
     ):
         arch, circuit = tiny_xc3000
-        ref = result_signature(
-            route_once(arch, circuit, backend="dijkstra",
-                       algorithm=algorithm, graph_backend="dict")
-        )
-        got = result_signature(
-            route_once(arch, circuit, backend="dijkstra",
-                       algorithm=algorithm, graph_backend=graph_backend)
-        )
-        assert got == ref
+        got = route(arch, circuit, graph_backend, algorithm=algorithm)
+        assert got == golden(f"tiny_xc3000_{algorithm}")
 
     def test_steiner_matches(self, tiny_xc3000):
         arch, circuit = tiny_xc3000
-        ref = result_signature(
-            route_once(arch, circuit, backend="dijkstra",
-                       algorithm="ikmb", graph_backend="dict")
-        )
-        got = result_signature(
-            route_once(arch, circuit, backend="dijkstra",
-                       algorithm="ikmb", graph_backend="flat")
-        )
-        assert got == ref
+        got = route(arch, circuit, "flat", algorithm="ikmb")
+        assert got == golden("tiny_xc3000_ikmb")
 
     def test_xc4000_family_matches_reference(self, tiny_xc4000):
         arch, circuit = tiny_xc4000
-        ref = result_signature(
-            route_once(arch, circuit, backend="dijkstra",
-                       graph_backend="dict")
-        )
-        got = result_signature(
-            route_once(arch, circuit, backend="dijkstra",
-                       graph_backend="flat")
-        )
-        assert got == ref
+        assert route(arch, circuit, "flat") == golden("tiny_xc4000_ikmb")
 
 
 class TestSearchBackendMatrix:
-    """The flat kernels sit underneath every SearchPolicy backend —
-    goal-directed dispatch (A*, bidirectional) must stay bit-identical
-    when the policy routes it to the CSR kernels."""
+    """Goal-directed dispatch (A*, bidirectional) runs on the CSR
+    kernels too and must leave every routed tree unchanged."""
 
     @pytest.mark.parametrize("search", SEARCH_BACKENDS)
     def test_search_times_graph_backend(self, tiny_xc3000, search):
         arch, circuit = tiny_xc3000
-        ref = result_signature(
-            route_once(arch, circuit, backend="dijkstra",
-                       algorithm="pfa", graph_backend="dict")
-        )
-        got = result_signature(
-            route_once(arch, circuit, backend=search,
-                       algorithm="pfa", graph_backend="flat")
-        )
-        assert got == ref
+        got = route(arch, circuit, "flat", search=search, algorithm="pfa")
+        assert got == golden("tiny_xc3000_pfa")
 
 
 class TestEngineEquivalence:
-    """Flat shipping (shared CSR + per-net pin taps) must commit the
-    exact trees the per-net dict snapshots produce."""
+    """CSR shipping (shared base snapshot + per-net pin taps) must
+    commit the exact trees of the golden serial route."""
 
     @pytest.mark.parametrize("graph_backend", FLAT_BACKENDS)
     @pytest.mark.parametrize("engine", ["serial", "thread"])
     def test_engine_backend_matrix(self, tiny_xc3000, engine, graph_backend):
         arch, circuit = tiny_xc3000
-        ref = result_signature(
-            route_once(arch, circuit, backend="dijkstra", engine="serial",
-                       graph_backend="dict")
-        )
-        got = result_signature(
-            route_once(arch, circuit, backend="dijkstra", engine=engine,
-                       graph_backend=graph_backend)
-        )
-        assert got == ref
+        got = route(arch, circuit, graph_backend, engine=engine)
+        assert got == golden("tiny_xc3000_ikmb")
 
     def test_process_engine_matches(self, tiny_xc3000):
         arch, circuit = tiny_xc3000
-        ref = result_signature(
-            route_once(arch, circuit, backend="dijkstra", engine="serial",
-                       graph_backend="dict")
-        )
-        got = result_signature(
-            route_once(arch, circuit, backend="dijkstra", engine="process",
-                       graph_backend="flat", max_workers=2)
-        )
-        assert got == ref
+        got = route(arch, circuit, "flat", engine="process", max_workers=2)
+        assert got == golden("tiny_xc3000_ikmb")
 
 
 class TestChannelWidthEquivalence:
     @pytest.mark.parametrize("algorithm", ["pfa", "djka"])
     def test_negotiated_width_identical(self, tiny_xc3000, algorithm):
         _, circuit = tiny_xc3000
-        ref_cfg = RouterConfig(algorithm=algorithm, search="dijkstra",
-                               graph_backend="dict", max_passes=4)
-        cfg = RouterConfig(algorithm=algorithm, search="dijkstra",
-                           graph_backend="flat", max_passes=4)
-        w_ref, res_ref = minimum_channel_width(
-            circuit, xc3000, ref_cfg, w_start=3, w_max=10
-        )
-        w_got, res_got = minimum_channel_width(
+        cfg = legacy_config("flat", algorithm=algorithm, search="dijkstra",
+                            max_passes=4)
+        w, result = minimum_channel_width(
             circuit, xc3000, cfg, w_start=3, w_max=10
         )
-        assert w_got == w_ref
-        assert result_signature(res_got) == result_signature(res_ref)
+        expected = golden(f"width_tiny_xc3000_{algorithm}")
+        assert w == expected["channel_width"]
+        assert signature(result) == expected["signature"]

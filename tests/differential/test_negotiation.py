@@ -14,6 +14,10 @@ it pins the things that *are* deterministic:
 * golden JSON fixtures freeze iteration counts, converged channel
   width, wirelength and critical-path delay for seeded XC3000/XC4000
   circuits (regenerate deliberately with ``--update-goldens``).
+
+The matrix's ``graph_backend`` axis is a removed config field: requests
+stored before its removal carry ``"dict"`` or ``"flat"``, and each cell
+loads its config through the service's request loader with that key.
 """
 
 from __future__ import annotations
@@ -28,6 +32,7 @@ from repro.engine import RoutingSession
 from repro.engine.checkpoint import load_checkpoint
 from repro.fpga import xc3000, xc4000
 from repro.router import RouterConfig, minimum_channel_width
+from repro.service import config_from_dict, config_to_dict
 from repro.validate import verify_result
 
 from .conftest import result_signature
@@ -42,13 +47,21 @@ NEGO_XC3000_WIDTH = 3
 NEGO_XC4000_WIDTH = 4
 
 ENGINES = ("serial", "thread", "process")
-GRAPH_BACKENDS = ("dict", "flat")
+#: values of the removed ``graph_backend`` field in stored requests
+LEGACY_GRAPH_BACKENDS = ("dict", "flat")
 SEARCH_BACKENDS = ("dijkstra", "astar", "bidir")
 
 
-def nego_config(**kwargs):
+def nego_config(graph_backend=None, **kwargs):
+    """A negotiation config; with ``graph_backend``, loaded the way a
+    stored request carrying that legacy key is."""
     kwargs.setdefault("mode", "negotiate")
-    return RouterConfig(**kwargs)
+    config = RouterConfig(**kwargs)
+    if graph_backend is None:
+        return config
+    doc = config_to_dict(config)
+    doc["graph_backend"] = graph_backend
+    return config_from_dict(doc)
 
 
 def route_negotiated(arch, circuit, *, engine="serial", max_workers=None,
@@ -90,11 +103,11 @@ def assert_certified(result, circuit, arch, cfg):
 
 
 # ----------------------------------------------------------------------
-# the execution matrix: every engine x graph backend x search backend
+# the execution matrix: every engine x legacy request key x search backend
 # ----------------------------------------------------------------------
 class TestNegotiationMatrix:
     @pytest.mark.parametrize("search", SEARCH_BACKENDS)
-    @pytest.mark.parametrize("graph_backend", GRAPH_BACKENDS)
+    @pytest.mark.parametrize("graph_backend", LEGACY_GRAPH_BACKENDS)
     def test_serial_xc3000(self, tiny_xc3000, graph_backend, search):
         _, circuit = tiny_xc3000
         arch = xc3000(circuit.rows, circuit.cols, NEGO_XC3000_WIDTH)
@@ -104,7 +117,7 @@ class TestNegotiationMatrix:
         assert_certified(result, circuit, arch, cfg)
 
     @pytest.mark.parametrize("search", SEARCH_BACKENDS)
-    @pytest.mark.parametrize("graph_backend", GRAPH_BACKENDS)
+    @pytest.mark.parametrize("graph_backend", LEGACY_GRAPH_BACKENDS)
     def test_serial_xc4000(self, tiny_xc4000, graph_backend, search):
         _, circuit = tiny_xc4000
         arch = xc4000(circuit.rows, circuit.cols, NEGO_XC4000_WIDTH)
@@ -114,7 +127,7 @@ class TestNegotiationMatrix:
         assert_certified(result, circuit, arch, cfg)
 
     @pytest.mark.parametrize("search", SEARCH_BACKENDS)
-    @pytest.mark.parametrize("graph_backend", GRAPH_BACKENDS)
+    @pytest.mark.parametrize("graph_backend", LEGACY_GRAPH_BACKENDS)
     @pytest.mark.parametrize("engine", ("thread", "process"))
     def test_parallel_engines(self, mini_xc3000, engine, graph_backend,
                               search):
@@ -140,7 +153,8 @@ class TestNegotiationMatrix:
         assert_certified(result, circuit, arch, cfg)
 
     def test_dict_and_flat_kernels_bit_identical(self, tiny_xc3000):
-        """The CSR seam changes throughput, never results."""
+        """Requests stored with either legacy kernel value route the
+        same."""
         _, circuit = tiny_xc3000
         arch = xc3000(circuit.rows, circuit.cols, NEGO_XC3000_WIDTH)
         a, _ = route_negotiated(arch, circuit, graph_backend="dict")

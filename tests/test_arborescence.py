@@ -23,6 +23,7 @@ from repro.graph import Graph, ShortestPathCache, dijkstra, grid_graph, is_tree
 from repro.net import Net
 from repro.steiner import kmb
 from tests.conftest import random_instance
+from tests.reference_kernels import dominated_by_both
 
 ALGOS = [djka, dom, pfa, idom]
 
@@ -61,11 +62,6 @@ class TestDominance:
         assert m == (3, 2)
         assert d == 5
 
-    def test_maxdom_restricted(self, medium_grid):
-        oracle = DominanceOracle(medium_grid, (0, 0))
-        m, d = oracle.maxdom((3, 7), (6, 2), restrict=[(0, 0), (1, 1)])
-        assert m == (1, 1)
-
     def test_maxdom_unreachable_raises(self):
         g = Graph()
         g.add_edge("s", "a", 1.0)
@@ -88,10 +84,15 @@ class TestDominance:
 
     def test_dominated_by_both_contains_source(self, medium_grid):
         oracle = DominanceOracle(medium_grid, (0, 0))
-        common = oracle.dominated_by_both((2, 5), (5, 2))
+        common = dominated_by_both(oracle, (2, 5), (5, 2))
         assert (0, 0) in common
         assert (2, 2) in common
         assert (3, 3) not in common
+        # MaxDom is the farthest member of that set
+        m, d = oracle.maxdom((2, 5), (5, 2))
+        assert m == (2, 2) and d == max(
+            oracle.source_dist(c) for c in common
+        )
 
 
 class TestShortestPathProperty:

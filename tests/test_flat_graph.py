@@ -1,8 +1,8 @@
 """Unit tests for the flat CSR graph core and its integration seams.
 
 Covers what the property suite (test_flat_properties.py) does not:
-the backend resolver, the deprecated ``Graph._adj`` escape hatch,
-pickling, the cache's kernel tags, the worker's flat materialization,
+the removed ``graph_backend`` knob and its legacy values, pickling,
+the cache's single CSR substrate, the worker's flat materialization,
 the config/CLI surface, and the package exports.
 """
 
@@ -14,21 +14,20 @@ import warnings
 import pytest
 
 import repro
-from repro.errors import GraphError, RoutingError
+from repro.errors import GraphError
 from repro.fpga import xc4000
 from repro.fpga.routing_graph import RoutingResourceGraph
 from repro.graph import (
-    FLAT_AUTO_THRESHOLD,
     FlatGraph,
     Graph,
     GraphView,
     SearchPolicy,
     ShortestPathCache,
     grid_graph,
-    resolve_graph_backend,
 )
 from repro.net import Net
 from repro.router import RouterConfig
+from repro.service import config_from_dict
 
 
 def small_graph():
@@ -48,53 +47,39 @@ def assert_same_adjacency(g, h):
 
 
 # ----------------------------------------------------------------------
-# backend resolution
+# the removed graph_backend knob
 # ----------------------------------------------------------------------
 class TestResolveBackend:
+    """``graph_backend`` once chose between dict and CSR search.  Every
+    search now runs on CSR, so the knob is gone from ``RouterConfig``;
+    requests written with it still load."""
+
     def test_explicit_choices_pass_through(self):
-        g = small_graph()
-        assert resolve_graph_backend("dict", g) == "dict"
-        assert resolve_graph_backend("flat", g) == "flat"
-
-    def test_auto_picks_dict_below_threshold(self):
-        assert resolve_graph_backend("auto", small_graph()) == "dict"
-
-    def test_auto_picks_flat_at_threshold(self):
-        side = 1
-        while side * side < FLAT_AUTO_THRESHOLD:
-            side += 1
-        g = grid_graph(side, side)
-        assert g.num_nodes >= FLAT_AUTO_THRESHOLD
-        assert resolve_graph_backend("auto", g) == "flat"
+        for choice in ("dict", "flat", "auto"):
+            doc = {"algorithm": "ikmb", "graph_backend": choice}
+            assert config_from_dict(doc) == RouterConfig(algorithm="ikmb")
 
     def test_unknown_choice_rejected(self):
-        with pytest.raises(GraphError):
-            resolve_graph_backend("csr", small_graph())
+        with pytest.raises(TypeError):
+            config_from_dict({"graph_backend": "csr"})
 
     def test_config_validates_backend(self):
-        with pytest.raises(RoutingError):
-            RouterConfig(graph_backend="csr")
-        for choice in ("dict", "flat", "auto"):
-            assert RouterConfig(graph_backend=choice).graph_backend == choice
+        with pytest.raises(TypeError):
+            RouterConfig(graph_backend="flat")
 
 
-# ----------------------------------------------------------------------
-# the deprecated dict-adjacency escape hatch
-# ----------------------------------------------------------------------
-def test_direct_adj_access_warns():
+def test_small_graphs_search_on_csr():
+    """No size threshold: a cache on a four-node graph freezes it."""
     g = small_graph()
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        adj = g._adj
-    assert any(
-        issubclass(w.category, DeprecationWarning) for w in caught
-    )
-    assert adj is g._adjacency  # still functional, just deprecated
+    cache = ShortestPathCache(g, search=SearchPolicy("dijkstra"))
+    dist, _ = cache.sssp("a")
+    assert dist["c"] == 3.0
+    assert g._frozen is not None and g._frozen.fresh(g)
 
 
 def test_internal_code_does_not_warn():
-    """The library itself must stay off the deprecated property —
-    routing a grid end to end emits no DeprecationWarning."""
+    """Freezing, searching and thawing a grid emits no
+    DeprecationWarning."""
     g = grid_graph(4, 4)
     with warnings.catch_warnings():
         warnings.simplefilter("error", DeprecationWarning)
@@ -148,45 +133,7 @@ def test_view_fresh_tracks_other_graphs():
 
 
 # ----------------------------------------------------------------------
-# cache kernel tags (full + partial entries)
-# ----------------------------------------------------------------------
-def _flip_backend(cache, backend):
-    cache._search = SearchPolicy("dijkstra", graph_backend=backend)
-
-
-def test_full_sssp_not_served_across_backend_flip():
-    g = small_graph()
-    cache = ShortestPathCache(
-        g, search=SearchPolicy("dijkstra", graph_backend="dict")
-    )
-    cache.sssp("a")
-    assert cache.stats()["misses"] == 1
-    assert cache._store_kernel["a"] == "dijkstra"
-    cache.sssp("a")
-    assert cache.stats()["hits"] == 1  # same kernel: served
-    _flip_backend(cache, "flat")
-    dist, _ = cache.sssp("a")
-    # mismatched tag: entry dropped and recomputed by the flat kernel
-    assert cache.stats()["misses"] == 2
-    assert cache._store_kernel["a"] == "flat"
-    assert dist["c"] == 3.0
-
-
-def test_partial_entries_keyed_by_kernel():
-    g = small_graph()
-    cache = ShortestPathCache(
-        g, search=SearchPolicy("dijkstra", graph_backend="dict")
-    )
-    cache.path("a", "c")
-    misses = cache.stats()["misses"]
-    _flip_backend(cache, "flat")
-    path = cache.path("a", "c")
-    assert cache.stats()["misses"] == misses + 1  # not served across flip
-    assert path == ["a", "b", "c"]
-
-
-# ----------------------------------------------------------------------
-# worker materialization == session snapshot
+# worker materialization == live graph with the net's pins attached
 # ----------------------------------------------------------------------
 def _rrg_and_net():
     rrg = RoutingResourceGraph(xc4000(2, 2, 3))
@@ -199,8 +146,6 @@ def test_materialize_flat_matches_dict_snapshot():
     from repro.engine.worker import NetTask, materialize_graph
 
     rrg, net = _rrg_and_net()
-    snapshot = rrg.graph.copy()
-    rrg.attach_pins(net.terminals, graph=snapshot)
     task = NetTask(
         name="n0",
         net=net,
@@ -209,7 +154,8 @@ def test_materialize_flat_matches_dict_snapshot():
         flat=rrg.graph.freeze().flat,
         pin_taps={pn: rrg.pin_taps(pn) for pn in net.terminals},
     )
-    assert_same_adjacency(snapshot, materialize_graph(task))
+    rrg.attach_pins(net.terminals)
+    assert_same_adjacency(rrg.graph, materialize_graph(task))
 
 
 def test_materialize_requires_some_shipping():
@@ -240,13 +186,11 @@ def test_public_exports():
 
 
 def test_cli_graph_backend_flag():
-    from repro.cli import _build_parser, _config
+    from repro.cli import _build_parser
 
     parser = _build_parser()
-    args = parser.parse_args(["route", "busc", "--graph-backend", "flat"])
-    assert _config(args, "ikmb").graph_backend == "flat"
-    args = parser.parse_args(["route", "busc"])
-    assert _config(args, "ikmb").graph_backend == "auto"
+    with pytest.raises(SystemExit):
+        parser.parse_args(["route", "busc", "--graph-backend", "flat"])
 
 
 def test_cli_legacy_aliases_warn():

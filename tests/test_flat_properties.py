@@ -6,9 +6,10 @@ Three families of properties:
   preserve every node, every edge, every weight, *and* the adjacency
   iteration order the dict kernels depend on.
 * **Kernel bit-identity** — the flat Dijkstra / A* / bidirectional
-  kernels reproduce the dict kernels' results exactly: same distances,
-  same predecessors, same dict iteration order, for arbitrary random
-  graphs, endpoints, cutoffs and target sets.
+  kernels reproduce the dict-adjacency reference kernels
+  (``tests/reference_kernels.py``) exactly: same distances, same
+  predecessors, same dict iteration order, for arbitrary random graphs,
+  endpoints, cutoffs and target sets.
 * **Invalidation** — mutating a graph (including the router's
   uncommit path) invalidates its memoized view, and the re-frozen view
   reflects the mutation while staying bit-identical to dict search.
@@ -27,13 +28,17 @@ import pytest
 from repro.graph import (
     FlatGraph,
     GraphView,
-    dijkstra,
     grid_graph,
     manhattan_heuristic,
-    multi_target_dijkstra,
     random_connected_graph,
 )
-from repro.graph.search import bidirectional_dijkstra
+
+from .reference_kernels import (
+    astar,
+    bidirectional_dijkstra,
+    dijkstra,
+    multi_target_dijkstra,
+)
 
 try:
     from hypothesis import given, settings, strategies as st
@@ -163,8 +168,6 @@ def test_flat_bidirectional_bit_identical(seed, n, extra):
 
 @property_case
 def test_flat_manhattan_astar_bit_identical(seed, n, extra):
-    from repro.graph.search import astar
-
     g, u, v = make_weighted_grid(seed, n, extra)
     h = manhattan_heuristic(g, v)
     assert h is not None

@@ -6,7 +6,8 @@ closure, a round roots one SSSP per member, and two-terminal nets skip
 the scan.  None of that may change a single output bit, so this module
 pins everything against :func:`reference_kmb_tree_graph` — the
 Graph-based KMB construction the kernel replaced, kept here verbatim as
-the oracle.
+the oracle, and run on the dict-adjacency reference kernels
+(``tests/reference_kernels.py``).
 
 Runs under `hypothesis` when it is installed; otherwise the same
 properties execute over a vendored corpus of seeds.
@@ -41,6 +42,8 @@ from repro.steiner import (
     kmb_tree_graph,
 )
 
+from .reference_kernels import reference_cache
+
 try:
     from hypothesis import given, settings, strategies as st
 
@@ -48,16 +51,9 @@ try:
 except ImportError:  # pragma: no cover - exercised on minimal installs
     HAVE_HYPOTHESIS = False
 
-#: (search backend or None for a policy-free cache, graph backend)
-POLICIES = [
-    (None, None),
-    ("dijkstra", "dict"),
-    ("dijkstra", "flat"),
-    ("astar", "dict"),
-    ("astar", "flat"),
-    ("auto", "dict"),
-    ("auto", "flat"),
-]
+#: search backends, None for a policy-free cache; each runs on the CSR
+#: kernels and is checked against the dict reference kernels
+POLICIES = [None, "dijkstra", "astar", "auto"]
 
 #: the built-in heuristics, all of which meet the early-exit condition
 EVERY_HEURISTIC = pytest.mark.parametrize(
@@ -106,12 +102,10 @@ def reference_kmb_tree_graph(graph, terminals, cache=None):
     return tree
 
 
-def make_cache(graph, backend, graph_backend):
+def make_cache(graph, backend):
     if backend is None:
         return ShortestPathCache(graph)
-    return ShortestPathCache(
-        graph, search=SearchPolicy(backend, graph_backend=graph_backend)
-    )
+    return ShortestPathCache(graph, search=SearchPolicy(backend))
 
 
 def make_instance(seed, grid):
@@ -138,34 +132,34 @@ def layout(tree):
 @property_case
 def test_round_evaluator_equals_reference_kmb_cost(seed, grid, warm):
     graph, members, candidates = make_instance(seed, grid)
-    for backend, graph_backend in POLICIES:
-        cache = make_cache(graph, backend, graph_backend)
+    for backend in POLICIES:
+        cache = make_cache(graph, backend)
         if warm:
             cache.warm(members)
         cost = KMB_HEURISTIC.round_fn(graph, members, cache)
         # a member re-offered as candidate is deduplicated, like KMB does
         for t in candidates + [members[-1]]:
-            ref_cache = make_cache(graph, backend, graph_backend)
+            ref_cache = reference_cache(graph, backend)
             expected = reference_kmb_tree_graph(
                 graph, members + [t], ref_cache
             ).total_weight()
-            assert cost(t) == expected, (backend, graph_backend, t)
+            assert cost(t) == expected, (backend, t)
 
 
 @property_case
 def test_kmb_tree_graph_equals_reference_layout(seed, grid, warm):
     graph, members, candidates = make_instance(seed, grid)
     terminals = members + candidates[:1]
-    for backend, graph_backend in POLICIES:
-        cache = make_cache(graph, backend, graph_backend)
+    for backend in POLICIES:
+        cache = make_cache(graph, backend)
         if warm:
             cache.warm(members)
         tree = kmb_tree_graph(graph, terminals, cache)
-        ref_cache = make_cache(graph, backend, graph_backend)
+        ref_cache = reference_cache(graph, backend)
         if warm:
             ref_cache.warm(members)
         expected = reference_kmb_tree_graph(graph, terminals, ref_cache)
-        assert layout(tree) == layout(expected), (backend, graph_backend)
+        assert layout(tree) == layout(expected), backend
         assert kmb_cost(graph, terminals, cache) == expected.total_weight()
 
 

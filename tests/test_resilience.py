@@ -381,16 +381,15 @@ class TestFaultInjectionEndToEnd:
     def test_kill_during_flat_materialize_is_bit_identical(
         self, wide_circuit, tmp_path
     ):
-        # the CSR shipping path has its own window: the worker dies
-        # while the task's graph exists only as shipped flat arrays,
-        # before the thaw-side pin attachment
+        # CSR shipping has its own window: the worker dies while the
+        # task's graph exists only as shipped flat arrays, before the
+        # thaw-side pin attachment
         reference = RoutingSession(_arch_for(wide_circuit, 8), KMB).route(
             wide_circuit
         )
-        flat = RouterConfig(algorithm="kmb", graph_backend="flat")
         plan = FaultPlan(kill_on_materialize=0, state_dir=str(tmp_path))
         session = RoutingSession(
-            _arch_for(wide_circuit, 8), flat,
+            _arch_for(wide_circuit, 8), KMB,
             engine="process", max_workers=2, faults=plan,
         )
         result = session.route(wide_circuit)

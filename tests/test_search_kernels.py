@@ -1,7 +1,9 @@
 """Goal-directed search kernels: A*, bidirectional Dijkstra, heuristics.
 
-Covers the exactness contract of :mod:`repro.graph.search` (every kernel
-returns plain-Dijkstra distances), the admissibility machinery
+Covers the exactness contract of the package's search kernels — the
+CSR kernels behind ``Graph.freeze()`` return the distances of the
+dict-adjacency reference Dijkstra (``tests/reference_kernels.py``) —
+the admissibility machinery
 (lattice coordinates, Manhattan scale, ALT landmarks), the
 :class:`SearchPolicy` configuration surface, and the two satellite
 guarantees around it: the :class:`ShortestPathCache` never serves a
@@ -25,14 +27,11 @@ from repro.graph import (
     SearchPolicy,
     SEARCH_BACKENDS,
     ShortestPathCache,
-    astar,
-    bidirectional_dijkstra,
     dijkstra,
     grid_graph,
     lattice_coordinate,
     lattice_scale,
     manhattan_heuristic,
-    multi_target_dijkstra,
     path_cost,
     random_connected_graph,
     reconstruct_path,
@@ -40,6 +39,8 @@ from repro.graph import (
     set_dijkstra_counters,
 )
 from repro.router import RouterConfig
+
+from .reference_kernels import dijkstra as reference_dijkstra
 
 
 @pytest.fixture(autouse=True)
@@ -56,12 +57,27 @@ def zero_heuristic(_node):
     return 0.0
 
 
+def astar(graph, source, target, heuristic, cutoff=None):
+    """The package's A*: the CSR kernel on ``graph.freeze()``."""
+    return graph.freeze().astar(source, target, heuristic, cutoff=cutoff)
+
+
+def bidirectional_dijkstra(graph, source, target):
+    """The package's two-frontier search on ``graph.freeze()``."""
+    return graph.freeze().bidirectional(source, target)
+
+
+def multi_target_dijkstra(graph, source, targets):
+    """The package's early-exit Dijkstra."""
+    return dijkstra(graph, source, targets=targets)
+
+
 class TestAstar:
     def test_exact_on_grid_with_manhattan(self, medium_grid):
         target = (9, 9)
         h = manhattan_heuristic(medium_grid, target)
         assert h is not None
-        full, _ = dijkstra(medium_grid, (0, 0))
+        full, _ = reference_dijkstra(medium_grid, (0, 0))
         dist, _ = astar(medium_grid, (0, 0), target, h)
         assert dist[target] == full[target]
 
@@ -70,7 +86,9 @@ class TestAstar:
         (same pushes in the same order), so even the settled prefix and
         predecessors coincide."""
         target = (7, 4)
-        d_ref, p_ref = dijkstra(medium_grid, (0, 0), targets=[target])
+        d_ref, p_ref = reference_dijkstra(
+            medium_grid, (0, 0), targets=[target]
+        )
         d_ast, p_ast = astar(medium_grid, (0, 0), target, zero_heuristic)
         assert d_ast == d_ref
         assert p_ast == p_ref
@@ -82,13 +100,13 @@ class TestAstar:
             g.set_weight(u, v, 1.0 + rnd.random())
         # weights >= 1 per unit move, so scale 1.0 stays admissible
         h = manhattan_heuristic(g, (7, 7), scale=1.0)
-        full, _ = dijkstra(g, (0, 0))
+        full, _ = reference_dijkstra(g, (0, 0))
         dist, _ = astar(g, (0, 0), (7, 7), h)
         assert dist[(7, 7)] == full[(7, 7)]
 
     def test_settles_fewer_nodes_than_full_run(self, medium_grid):
         h = manhattan_heuristic(medium_grid, (9, 0))
-        full, _ = dijkstra(medium_grid, (0, 0))
+        full, _ = reference_dijkstra(medium_grid, (0, 0))
         dist, _ = astar(medium_grid, (0, 0), (9, 0), h)
         assert len(dist) < len(full)
 
@@ -120,7 +138,7 @@ class TestAstar:
 
 class TestBidirectionalDijkstra:
     def test_exact_on_grid(self, medium_grid):
-        full, _ = dijkstra(medium_grid, (0, 0))
+        full, _ = reference_dijkstra(medium_grid, (0, 0))
         d, path = bidirectional_dijkstra(medium_grid, (0, 0), (9, 9))
         assert d == full[(9, 9)]
         assert path[0] == (0, 0) and path[-1] == (9, 9)
@@ -132,7 +150,7 @@ class TestBidirectionalDijkstra:
         g = random_connected_graph(40, 90, rnd)
         nodes = sorted(g.nodes, key=repr)
         src, dst = nodes[0], nodes[-1]
-        full, _ = dijkstra(g, src)
+        full, _ = reference_dijkstra(g, src)
         d, path = bidirectional_dijkstra(g, src, dst)
         assert d == pytest.approx(full[dst], abs=0.0)
         assert path_cost(g, path) == pytest.approx(d)
@@ -168,7 +186,7 @@ class TestBidirectionalDijkstra:
 class TestMultiTargetDijkstra:
     def test_settles_all_targets_with_full_run_values(self, medium_grid):
         targets = [(9, 9), (0, 9), (5, 5)]
-        full, full_pred = dijkstra(medium_grid, (0, 0))
+        full, full_pred = reference_dijkstra(medium_grid, (0, 0))
         dist, pred = multi_target_dijkstra(medium_grid, (0, 0), targets)
         for t in targets:
             assert dist[t] == full[t]
@@ -228,7 +246,8 @@ class TestLatticeGeometry:
 
 
 def assert_admissible_and_consistent(graph, target, h):
-    ref, _ = dijkstra(graph, target)  # undirected: d(v, t) == d(t, v)
+    # undirected: d(v, t) == d(t, v)
+    ref, _ = reference_dijkstra(graph, target)
     for v in graph.nodes:
         assert h(v) <= ref.get(v, float("inf")) + 1e-9
     for u, v, w in graph.edges():
@@ -294,7 +313,7 @@ class TestLandmarkIndex:
         g = random_connected_graph(35, 80, rnd)
         idx = LandmarkIndex(g, k=3)
         nodes = sorted(g.nodes, key=repr)
-        full, _ = dijkstra(g, nodes[0])
+        full, _ = reference_dijkstra(g, nodes[0])
         dist, _ = astar(g, nodes[0], nodes[-1], idx.heuristic(nodes[-1]))
         assert dist[nodes[-1]] == full[nodes[-1]]
 
@@ -332,7 +351,7 @@ class TestSearchPolicy:
     @pytest.mark.parametrize("backend", SEARCH_BACKENDS)
     def test_pair_distance_exact_on_grid(self, medium_grid, backend):
         policy = SearchPolicy(backend)
-        full, _ = dijkstra(medium_grid, (0, 0))
+        full, _ = reference_dijkstra(medium_grid, (0, 0))
         assert policy.pair_distance(medium_grid, (0, 0), (9, 9)) == full[
             (9, 9)
         ]
@@ -344,7 +363,7 @@ class TestSearchPolicy:
         g = random_connected_graph(30, 55, rnd)
         nodes = sorted(g.nodes, key=repr)
         policy = SearchPolicy(backend)
-        full, _ = dijkstra(g, nodes[0])
+        full, _ = reference_dijkstra(g, nodes[0])
         assert policy.pair_distance(g, nodes[0], nodes[-1]) == full[nodes[-1]]
 
     def test_pair_distance_disconnected(self):
@@ -371,19 +390,13 @@ class TestSearchPolicy:
         nodes = sorted(g.nodes, key=repr)
         h = policy.heuristic_for(g, nodes[-1])
         assert h is not None and h.key[0] == "alt"
-        full, _ = dijkstra(g, nodes[0])
+        full, _ = reference_dijkstra(g, nodes[0])
         assert policy.pair_distance(g, nodes[0], nodes[-1]) == full[nodes[-1]]
 
 
 class TestCacheKernelIsolation:
     """Satellite: a goal-directed run must never masquerade as plain
     Dijkstra data — not as a full SSSP, not as a plain partial run."""
-
-    def test_partial_key_carries_kernel(self):
-        plain = ShortestPathCache._partial_key("s", ["t"], None)
-        kernel = ShortestPathCache._partial_key("s", ["t"], None, "astar")
-        assert plain != kernel
-        assert plain[3] == "dijkstra"
 
     def test_pair_query_never_creates_full_entry(self, medium_grid):
         cache = ShortestPathCache(medium_grid, search=SearchPolicy("astar"))
@@ -418,7 +431,7 @@ class TestCacheKernelIsolation:
         cache = ShortestPathCache(medium_grid, search=SearchPolicy("astar"))
         cache.sssp_limited((0, 0), targets=[(5, 5)])
         misses = cache.misses
-        full, _ = dijkstra(medium_grid, (0, 0))
+        full, _ = reference_dijkstra(medium_grid, (0, 0))
         assert cache.dist((0, 0), (5, 5)) == full[(5, 5)]
         assert cache.misses == misses  # served from the settled prefix
 
@@ -429,7 +442,7 @@ class TestCacheKernelIsolation:
             cache.dist((0, 0), t)
         # the hot endpoint got promoted to a real full SSSP
         assert (0, 0) in cache.cached_sources()
-        full, _ = dijkstra(medium_grid, (0, 0))
+        full, _ = reference_dijkstra(medium_grid, (0, 0))
         assert len(cache.sssp((0, 0))[0]) == len(full)
 
     def test_version_bump_drops_pair_store(self, medium_grid):
@@ -437,7 +450,7 @@ class TestCacheKernelIsolation:
         cache.dist((0, 0), (9, 9))
         medium_grid.set_weight((0, 0), (1, 0), 3.0)
         assert cache.stats()["pair_entries"] == 1  # not yet observed
-        full, _ = dijkstra(medium_grid, (0, 0))
+        full, _ = reference_dijkstra(medium_grid, (0, 0))
         assert cache.dist((0, 0), (9, 9)) == full[(9, 9)]
         assert cache.invalidations == 1
 
@@ -447,7 +460,7 @@ class TestCanonicalPaths:
     backend and of what the cache happened to compute earlier."""
 
     def reference_path(self, graph, u, v):
-        _, pred = dijkstra(graph, u, targets=[v])
+        _, pred = reference_dijkstra(graph, u, targets=[v])
         return reconstruct_path(pred, u, v)
 
     @pytest.mark.parametrize("backend", SEARCH_BACKENDS)

@@ -2,9 +2,11 @@
 
 Two families of properties:
 
-* **Exactness** — every kernel (A* under Manhattan or ALT bounds,
-  bidirectional Dijkstra, early-exit Dijkstra) reports the plain
-  Dijkstra distance for arbitrary random graphs and endpoint pairs.
+* **Exactness** — every kernel of the package (A* under Manhattan or
+  ALT bounds, bidirectional Dijkstra, early-exit Dijkstra, all on the
+  CSR view) reports the distance of the dict-adjacency reference
+  Dijkstra (``tests/reference_kernels.py``) for arbitrary random graphs
+  and endpoint pairs.
 * **Heuristic soundness** — the Manhattan and landmark bounds are
   admissible (``h(v) ≤ d(v, t)``) and consistent
   (``h(u) ≤ w(u, v) + h(v)``), which is the precondition the exactness
@@ -25,17 +27,16 @@ from repro.graph import (
     LandmarkIndex,
     SEARCH_BACKENDS,
     SearchPolicy,
-    astar,
-    bidirectional_dijkstra,
     dijkstra,
     grid_graph,
     lattice_scale,
     manhattan_heuristic,
-    multi_target_dijkstra,
     path_cost,
     random_connected_graph,
     reconstruct_path,
 )
+
+from .reference_kernels import dijkstra as reference_dijkstra
 
 try:
     from hypothesis import given, settings, strategies as st
@@ -43,6 +44,21 @@ try:
     HAVE_HYPOTHESIS = True
 except ImportError:  # pragma: no cover - exercised on minimal installs
     HAVE_HYPOTHESIS = False
+
+def astar(graph, source, target, heuristic):
+    """The package's A*: the CSR kernel on ``graph.freeze()``."""
+    return graph.freeze().astar(source, target, heuristic)
+
+
+def bidirectional_dijkstra(graph, source, target):
+    """The package's two-frontier search on ``graph.freeze()``."""
+    return graph.freeze().bidirectional(source, target)
+
+
+def multi_target_dijkstra(graph, source, targets):
+    """The package's early-exit Dijkstra."""
+    return dijkstra(graph, source, targets=targets)
+
 
 #: vendored fallback corpus: (seed, nodes, extra edges)
 SEED_CASES = [
@@ -96,7 +112,7 @@ def make_weighted_grid(seed, n, extra):
 @property_case
 def test_bidirectional_distance_matches_dijkstra(seed, n, extra):
     g, u, v = make_graph(seed, n, extra)
-    ref, _ = dijkstra(g, u)
+    ref, _ = reference_dijkstra(g, u)
     d, path = bidirectional_dijkstra(g, u, v)
     # exact up to the last ulp: the two searches may settle on distinct
     # equal-cost shortest paths whose float sums differ by one rounding
@@ -111,7 +127,7 @@ def test_bidirectional_distance_matches_dijkstra(seed, n, extra):
 def test_alt_astar_distance_matches_dijkstra(seed, n, extra):
     g, u, v = make_graph(seed, n, extra)
     idx = LandmarkIndex(g, k=min(3, g.num_nodes))
-    ref, _ = dijkstra(g, u)
+    ref, _ = reference_dijkstra(g, u)
     dist, _ = astar(g, u, v, idx.heuristic(v))
     assert dist.get(v, float("inf")) == ref.get(v, float("inf"))
 
@@ -121,7 +137,7 @@ def test_manhattan_astar_distance_matches_dijkstra(seed, n, extra):
     g, u, v = make_weighted_grid(seed, n, extra)
     h = manhattan_heuristic(g, v)
     assert h is not None  # weighted unit grids always admit a bound
-    ref, _ = dijkstra(g, u)
+    ref, _ = reference_dijkstra(g, u)
     dist, _ = astar(g, u, v, h)
     assert dist.get(v, float("inf")) == ref[v]
 
@@ -129,7 +145,7 @@ def test_manhattan_astar_distance_matches_dijkstra(seed, n, extra):
 @property_case
 def test_early_exit_prefix_is_bit_identical(seed, n, extra):
     g, u, v = make_graph(seed, n, extra)
-    full_dist, full_pred = dijkstra(g, u)
+    full_dist, full_pred = reference_dijkstra(g, u)
     dist, pred = multi_target_dijkstra(g, u, [v])
     # every settled node carries the full run's distance AND pred
     for node, d in dist.items():
@@ -145,7 +161,7 @@ def test_early_exit_prefix_is_bit_identical(seed, n, extra):
 @property_case
 def test_policy_backends_agree(seed, n, extra):
     g, u, v = make_graph(seed, n, extra)
-    ref, _ = dijkstra(g, u)
+    ref, _ = reference_dijkstra(g, u)
     expected = ref.get(v, float("inf"))
     for backend in SEARCH_BACKENDS:
         got = SearchPolicy(backend).pair_distance(g, u, v)
@@ -161,7 +177,7 @@ def test_manhattan_heuristic_admissible_and_consistent(seed, n, extra):
     scale = lattice_scale(g)
     assert scale is not None and scale > 0
     h = manhattan_heuristic(g, v, scale=scale)
-    ref, _ = dijkstra(g, v)  # undirected: d(x, v) == d(v, x)
+    ref, _ = reference_dijkstra(g, v)  # undirected: d(x, v) == d(v, x)
     for node in g.nodes:
         assert h(node) <= ref.get(node, float("inf")) + 1e-9
     for a, b, w in g.edges():
@@ -174,7 +190,7 @@ def test_landmark_heuristic_admissible_and_consistent(seed, n, extra):
     g, u, v = make_graph(seed, n, extra)
     idx = LandmarkIndex(g, k=min(4, g.num_nodes))
     h = idx.heuristic(v)
-    ref, _ = dijkstra(g, v)
+    ref, _ = reference_dijkstra(g, v)
     for node in g.nodes:
         assert h(node) <= ref.get(node, float("inf")) + 1e-9
     for a, b, w in g.edges():
@@ -193,9 +209,9 @@ def test_trusted_scale_survives_weight_increase(seed, n, extra):
     for a, b, w in list(g.edges()):
         g.set_weight(a, b, w * (1.0 + rnd.random()))
     h = manhattan_heuristic(g, v, scale=scale)
-    ref, _ = dijkstra(g, v)
+    ref, _ = reference_dijkstra(g, v)
     for node in g.nodes:
         assert h(node) <= ref.get(node, float("inf")) + 1e-9
     dist, _ = astar(g, u, v, h)
-    full, _ = dijkstra(g, u)
+    full, _ = reference_dijkstra(g, u)
     assert dist.get(v, float("inf")) == full[v]

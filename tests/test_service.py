@@ -29,7 +29,7 @@ from repro.errors import (
     ServiceError,
     ValidationError,
 )
-from repro.fpga import circuit_spec, scaled_spec, synthesize_circuit
+from repro.fpga import circuit_spec, scaled_spec, synthesize_circuit, xc3000
 from repro.fpga.netlist import PlacedCircuit, PlacedNet
 from repro.io import result_to_dict
 from repro.router import RouterConfig
@@ -40,9 +40,12 @@ from repro.service import (
     JobStore,
     RoutingService,
     TERMINAL_STATES,
+    config_from_dict,
+    config_to_dict,
     read_journal,
     request_fingerprint,
 )
+from repro.validate import verify_result
 
 KMB = RouterConfig(algorithm="kmb")
 
@@ -301,6 +304,70 @@ class TestAdmission:
 
 
 # ----------------------------------------------------------------------
+# stores written before RouterConfig.graph_backend was removed
+# ----------------------------------------------------------------------
+class TestLegacyStore:
+    """Every ``request.json`` the older version wrote carries the
+    removed ``graph_backend`` field (``config_to_dict`` serializes every
+    config field); such a store must keep serving after an upgrade."""
+
+    def _legacy_store(self, root, circuit):
+        """Two finished jobs and one queued job, each request carrying
+        one of the field's three old values."""
+        service = RoutingService(str(root))
+        done_kmb = service.submit(circuit, config=KMB, width=3)
+        done_ikmb = service.submit(
+            circuit, config=RouterConfig(algorithm="ikmb"), width=3
+        )
+        assert service.run_until_idle() == 2
+        queued = service.submit(circuit, config=KMB, width=4)
+        for record, value in (
+            (done_kmb, "auto"), (done_ikmb, "dict"), (queued, "flat"),
+        ):
+            path = service.store.request_path(record.job_id)
+            with open(path, encoding="utf-8") as fh:
+                request = json.load(fh)
+            request["config"]["graph_backend"] = value
+            with open(path, "w", encoding="utf-8") as fh:
+                json.dump(request, fh)
+        return done_kmb.job_id, done_ikmb.job_id, queued.job_id
+
+    def test_recovered_store_runs_queued_legacy_job(
+        self, small_circuit, tmp_path, reference
+    ):
+        kmb_id, ikmb_id, queued_id = self._legacy_store(
+            tmp_path / "legacy", small_circuit
+        )
+        service = RoutingService(str(tmp_path / "legacy"), recover=True)
+        assert service.status(queued_id)["state"] == "queued"
+        assert service.run_until_idle() == 1
+        status = service.status(queued_id)
+        assert status["state"] == "done" and status["verified"] is True
+        result = service.result(queued_id)
+        arch = xc3000(small_circuit.rows, small_circuit.cols, 4)
+        report = verify_result(
+            result, small_circuit, arch, KMB, level="full"
+        )
+        assert report.ok, [d.render() for d in report.errors]
+        # the same request submitted fresh gives the same answer
+        fresh = RoutingService(str(tmp_path / "fresh"))
+        record = fresh.submit(small_circuit, config=KMB, width=4)
+        assert fresh.run_until_idle() == 1
+        assert result_to_dict(result) == result_to_dict(
+            fresh.result(record.job_id)
+        )
+        # the finished legacy jobs still serve, and still dedupe
+        _assert_routes_identical(service.result(kmb_id), reference)
+        assert service.status(ikmb_id)["state"] == "done"
+        again = service.submit(small_circuit, config=KMB, width=3)
+        assert again.state == "done" and again.deduped_from == kmb_id
+
+    def test_unknown_config_key_still_fails(self):
+        with pytest.raises(TypeError):
+            config_from_dict(dict(config_to_dict(KMB), graph_core="csr"))
+
+
+# ----------------------------------------------------------------------
 # lifecycle: run, fail, cancel
 # ----------------------------------------------------------------------
 class TestLifecycle:
@@ -500,13 +567,12 @@ class TestDedupe:
         base = request_fingerprint(
             small_circuit, KMB, family="xc3000", width=3, w_max=40
         )
-        flat = request_fingerprint(
+        astar = request_fingerprint(
             small_circuit,
-            RouterConfig(algorithm="kmb", graph_backend="flat",
-                         search="astar"),
+            RouterConfig(algorithm="kmb", search="astar"),
             family="xc3000", width=3, w_max=40,
         )
-        assert base == flat  # engines are bit-identical by contract
+        assert base == astar  # backends are bit-identical by contract
         other_width = request_fingerprint(
             small_circuit, KMB, family="xc3000", width=4, w_max=40
         )

@@ -140,6 +140,25 @@ class TestWire:
         )
         assert record["state"] == "queued"
 
+    def test_config_with_legacy_graph_backend_is_accepted(
+        self, server, small_circuit, reference
+    ):
+        # clients of older versions post every RouterConfig field,
+        # including the removed ``graph_backend``
+        from repro.io import circuit_to_dict
+        from repro.service import config_to_dict
+
+        config = dict(config_to_dict(KMB), graph_backend="dict")
+        record = server.client.submit(
+            circuit_to_dict(small_circuit), config=config, width=3
+        )
+        assert record["state"] == "queued"
+        assert server.drain() == 1
+        final = server.client.wait(record["job_id"], timeout_s=60)
+        assert final["state"] == "done" and final["verified"] is True
+        result = server.client.result(record["job_id"])
+        assert result_to_dict(result) == result_to_dict(reference)
+
     def test_dedupe_over_the_wire(self, server, small_circuit):
         first = server.client.submit(small_circuit, config=KMB, width=3)
         assert server.drain() == 1

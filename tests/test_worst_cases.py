@@ -13,6 +13,7 @@ from repro.arborescence import (
     setcover_family,
     staircase_instance,
 )
+from repro.analysis import run_fig11
 from repro.errors import GraphError
 from repro.graph import dijkstra, is_tree
 
@@ -70,11 +71,11 @@ class TestStaircase:
         assert inst.net.sinks == ((1, 6), (2, 4), (3, 2))
 
     def test_upper_bound_is_feasible(self):
-        # the analytic chain bound must dominate the true optimum
+        # PFA's arborescence is feasible, so it bounds the optimum
         for k in (2, 3, 4):
             inst = staircase_instance(k)
             opt = optimal_arborescence_cost(inst.graph, inst.net)
-            assert opt <= inst.optimal_upper_bound + 1e-9
+            assert opt <= pfa(inst.graph, inst.net).cost + 1e-9
 
     def test_pfa_valid_and_bounded(self):
         for k in (2, 4, 6):
@@ -83,12 +84,26 @@ class TestStaircase:
             dist, _ = dijkstra(inst.graph, inst.net.source)
             for sink in inst.net.sinks:
                 assert tree.pathlength(sink) == pytest.approx(dist[sink])
-            # the RSA bound: at most 2x the chain upper bound
-            assert tree.cost <= 2 * inst.optimal_upper_bound + 1e-9
+            # the RSA bound: at most 2x the exact optimum
+            opt = optimal_arborescence_cost(inst.graph, inst.net)
+            assert tree.cost <= 2 * opt + 1e-9
 
     def test_invalid_size(self):
         with pytest.raises(GraphError):
             staircase_instance(0)
+
+    def test_fig11_ratios_are_exact(self):
+        # 8 and 10 sinks: the exact optima, not the old chain "bound"
+        # (48 at 10 sinks), which is no arborescence at all
+        rows = run_fig11((8, 10))
+        assert [r["optimal"] for r in rows] == [38.0, 52.0]
+        assert [r["pfa"] for r in rows] == [39.0, 52.0]
+        assert rows[0]["ratio"] == 39.0 / 38.0
+        assert rows[1]["ratio"] == 1.0
+
+    def test_fig11_refuses_beyond_exact_limit(self):
+        with pytest.raises(GraphError):
+            run_fig11((13,))
 
 
 class TestSetCoverFamily:
