@@ -126,8 +126,13 @@ class FreezeCounter:
 
     A build belongs to the device when it freezes a routing-resource
     graph: one registered by ``RoutingResourceGraph`` construction or
-    ``reset`` (the pristine snapshot built inside the first reset
-    included).  Every other ``from_graph`` freezes a scratch graph.
+    ``reset``, or any freeze made inside either call.  Devices are
+    copies of a per-process template of their architecture, and the
+    pristine snapshot that ``reset`` thaws is frozen once per template,
+    inside the first wrapped ``reset`` of any of its devices, so it
+    still counts as a device rebuild; a route whose architecture's
+    template already holds it makes none.  Every other ``from_graph``
+    freezes a scratch graph.
     """
 
     def __init__(self):

@@ -54,9 +54,10 @@ class NetTask:
     #: batch; the worker thaws it and replays this net's pin attachment
     #: locally from ``pin_taps``
     flat: Optional[FlatGraph] = None
-    #: pin -> [(junction, weight)] connection-block taps for this net's
-    #: terminals (see RoutingResourceGraph.pin_taps)
-    pin_taps: Optional[Dict[Tuple, List[Tuple[Tuple, float]]]] = None
+    #: pin -> ((junction, weight), ...) connection-block taps for this
+    #: net's terminals: the device's shared, read-only tuples (see
+    #: RoutingResourceGraph.pin_taps)
+    pin_taps: Optional[Dict[Tuple, Tuple[Tuple[Tuple, float], ...]]] = None
     #: True when the worker runs out-of-process and must ship its own
     #: Dijkstra counters back with the result
     collect_counters: bool = False

@@ -29,15 +29,26 @@ junction node the net's tree visited, which deletes the used segment,
 switch and pin edges with it and additionally prevents two nets from
 sharing a wire end through different switches; :meth:`RoutingResourceGraph.commit`
 implements that.
+
+Device templates.  A device is built once per architecture per process:
+the first :class:`RoutingResourceGraph` of an :class:`Architecture`
+runs :meth:`RoutingResourceGraph._build` into a :class:`DeviceTemplate`
+(kept in a bounded cache, :data:`TEMPLATE_CACHE_SIZE`), and every
+device of that architecture copies the template's graph and shares its
+read-only tables and its pristine CSR snapshot.
 """
 
 from __future__ import annotations
 
+import functools
+import os
+import threading
 from dataclasses import dataclass
 from typing import Dict, Hashable, Iterable, List, Optional, Set, Tuple
 
 from ..errors import ArchitectureError, GraphError
 from ..graph.core import Graph, edge_key
+from ..graph.flat import FlatGraph
 from .architecture import Architecture, SIDE_PAIRS
 
 Node = Hashable
@@ -55,7 +66,7 @@ def pin_node(bx: int, by: int, p: int) -> Tuple:
     return ("P", bx, by, p)
 
 
-@dataclass
+@dataclass(frozen=True)
 class SegmentInfo:
     """One wire segment: its edge endpoints and channel-span group."""
 
@@ -78,34 +89,28 @@ class RoutingResourceGraph:
     ----------
     graph:
         The mutable :class:`~repro.graph.core.Graph` the routing
-        algorithms run on.  Edge weights start at the architecture's
-        base weights and are later scaled by the congestion model.
+        algorithms run on: this device's own copy of its template's
+        graph.  Edge weights start at the architecture's base weights
+        and are later scaled by the congestion model.
     arch:
         The generating :class:`Architecture`.
+
+    Every other table belongs to the architecture's
+    :class:`DeviceTemplate` and is shared, read-only, by all devices of
+    that architecture in the process.
     """
 
     def __init__(self, arch: Architecture):
         self.arch = arch
-        self.graph = Graph()
-        #: base (uncongested) weight of every edge, for wirelength metrics
-        self._base_weight: Dict[Tuple, float] = {}
-        #: segment bookkeeping: edge key -> SegmentInfo
-        self._segments: Dict[Tuple, SegmentInfo] = {}
-        #: channel-span group -> list of segment edge keys (all tracks)
-        self._groups: Dict[GroupKey, List[Tuple]] = {}
-        #: pin node -> [(junction, weight)] connection-block switches;
-        #: lets the router detach pins so nets cannot route *through*
-        #: a foreign logic-block pin (see detach_all_pins)
-        self._pin_edges: Dict[Tuple, List[Tuple[Tuple, float]]] = {}
-        #: lazy junction-to-junction incidence index for :meth:`uncommit`
-        self._jj_incident: Optional[Dict[Tuple, List[Tuple[Tuple, float]]]] = (
-            None
-        )
-        #: pristine-device CSR snapshot, captured on the first
-        #: :meth:`reset`; later resets thaw it instead of replaying
-        #: E ``add_edge`` calls (see reset)
-        self._pristine: Optional["FlatGraph"] = None  # noqa: F821
-        self._build()
+        template = _device_template(arch)
+        self._template = template
+        self.graph = template.graph.copy()
+        # the rest is the template's, shared by every device of the
+        # architecture in the process and never written after _build
+        self._base_weight = template.base_weight
+        self._segments = template.segments
+        self._groups = template.groups
+        self._pin_edges = template.pin_edges
 
     # ------------------------------------------------------------------
     # construction
@@ -115,8 +120,24 @@ class RoutingResourceGraph:
         self._base_weight[edge_key(u, v)] = weight
 
     def _build(self) -> None:
+        """Fill a fresh instance with ``self.arch``'s whole device.
+
+        Runs once per architecture per process, when its
+        :class:`DeviceTemplate` is made; devices copy the result.
+        """
         arch = self.arch
         rows, cols, w = arch.rows, arch.cols, arch.channel_width
+        self.graph = Graph()
+        #: base (uncongested) weight of every edge, for wirelength metrics
+        self._base_weight: Dict[Tuple, float] = {}
+        #: segment bookkeeping: edge key -> SegmentInfo
+        self._segments: Dict[Tuple, SegmentInfo] = {}
+        #: channel-span group -> segment edge keys (all tracks)
+        groups: Dict[GroupKey, List[Tuple]] = {}
+        #: pin node -> [(junction, weight)] connection-block switches;
+        #: lets the router detach pins so nets cannot route *through*
+        #: a foreign logic-block pin (see detach_all_pins)
+        pin_edges: Dict[Tuple, List[Tuple[Tuple, float]]] = {}
 
         # Wire segments.  Horizontal channels y = 0..rows, spans
         # x = 0..cols-1; vertical channels x = 0..cols, spans y = 0..rows-1.
@@ -129,7 +150,7 @@ class RoutingResourceGraph:
                     info = SegmentInfo("H", x, y, t, a, b)
                     key = edge_key(a, b)
                     self._segments[key] = info
-                    self._groups.setdefault(info.group, []).append(key)
+                    groups.setdefault(info.group, []).append(key)
         for x in range(cols + 1):
             for y in range(rows):
                 for t in range(w):
@@ -139,7 +160,7 @@ class RoutingResourceGraph:
                     info = SegmentInfo("V", x, y, t, a, b)
                     key = edge_key(a, b)
                     self._segments[key] = info
-                    self._groups.setdefault(info.group, []).append(key)
+                    groups.setdefault(info.group, []).append(key)
 
         # Switch blocks at every crossing.  A side exists only if the
         # corresponding segment exists (boundary crossings are partial).
@@ -167,11 +188,20 @@ class RoutingResourceGraph:
                 for p in range(arch.pins_per_block):
                     side = arch.pin_side(p)
                     pn = pin_node(bx, by, p)
-                    taps = self._pin_edges.setdefault(pn, [])
+                    taps = pin_edges.setdefault(pn, [])
                     for t in arch.pin_tracks(p):
                         for end in self._pin_segment_ends(bx, by, side, t):
                             self._add_edge(pn, end, arch.pin_weight)
                             taps.append((end, arch.pin_weight))
+
+        # tuples: these tables are shared by every device of the
+        # architecture, and pin_taps() hands its values out
+        self._groups: Dict[GroupKey, Tuple[Tuple, ...]] = {
+            g: tuple(keys) for g, keys in groups.items()
+        }
+        self._pin_edges: Dict[Tuple, Tuple[Tuple[Tuple, float], ...]] = {
+            pn: tuple(taps) for pn, taps in pin_edges.items()
+        }
 
     def _pin_segment_ends(
         self, bx: int, by: int, side: str, t: int
@@ -213,9 +243,9 @@ class RoutingResourceGraph:
         """Segment metadata if ``(u, v)`` is a wire-segment edge."""
         return self._segments.get(edge_key(u, v))
 
-    def group_tracks(self, group: GroupKey) -> List[Tuple]:
+    def group_tracks(self, group: GroupKey) -> Tuple[Tuple, ...]:
         """All segment edge keys (one per track) of a channel span."""
-        return list(self._groups.get(group, ()))
+        return self._groups.get(group, ())
 
     def group_utilization(self, group: GroupKey) -> float:
         """Fraction of a channel span's tracks already consumed."""
@@ -266,13 +296,7 @@ class RoutingResourceGraph:
         the same channel-span groups :meth:`commit` reported, so the
         congestion model can refresh their weights.
         """
-        if self._jj_incident is None:
-            incident: Dict[Tuple, List[Tuple[Tuple, float]]] = {}
-            for (u, v), w in self._base_weight.items():
-                if u[0] == "J" and v[0] == "J":
-                    incident.setdefault(u, []).append((v, w))
-                    incident.setdefault(v, []).append((u, w))
-            self._jj_incident = incident
+        incident = self._template.junction_incidence()
         g = self.graph
         junctions = [
             n for n in tree.nodes
@@ -282,7 +306,7 @@ class RoutingResourceGraph:
             if not g.has_node(node):
                 g.add_node(node)
         for node in junctions:
-            for other, w in self._jj_incident.get(node, ()):
+            for other, w in incident.get(node, ()):
                 if g.has_node(other) and not g.has_edge(node, other):
                     g.add_edge(node, other, w)
         touched: Set[GroupKey] = set()
@@ -355,8 +379,8 @@ class RoutingResourceGraph:
         device.lattice_arrays()
         return device
 
-    def pin_taps(self, pin: Tuple) -> List[Tuple[Tuple, float]]:
-        """The connection-block taps ``[(junction, weight), ...]`` of a
+    def pin_taps(self, pin: Tuple) -> Tuple[Tuple[Tuple, float], ...]:
+        """The connection-block taps ``((junction, weight), ...)`` of a
         pin, independent of which taps currently survive in the live
         graph.  The engine ships these to workers alongside a frozen
         base graph so each worker can replay :meth:`attach_pins`
@@ -370,20 +394,16 @@ class RoutingResourceGraph:
     def reset(self) -> None:
         """Restore the pristine routing graph (all resources free).
 
-        The first reset rebuilds the graph from the recorded base
-        weights and freezes the result into a CSR snapshot; every later
-        reset thaws that snapshot, which reconstructs a graph with the
-        *identical* adjacency ordering (so routing stays bit-identical
-        pass over pass) at a fraction of the ``add_edge`` replay cost.
+        Every reset thaws the template's pristine CSR snapshot, frozen
+        once per architecture, on the first reset of any of its devices
+        (:meth:`DeviceTemplate.pristine`).  Thawing reconstructs the
+        built graph's *identical* adjacency ordering — the order a
+        fresh device's copy has — so routing stays bit-identical pass
+        over pass, and the thawed graph starts with that snapshot as
+        its frozen view.  The snapshot is never written: later freezes
+        patch or rebuild into new snapshots.
         """
-        if self._pristine is None:
-            g = Graph()
-            for (u, v), w in self._base_weight.items():
-                g.add_edge(u, v, w)
-            self._pristine = g.freeze().flat
-            self.graph = g
-        else:
-            self.graph = self._pristine.thaw()
+        self.graph = self._template.pristine().thaw()
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
@@ -396,3 +416,112 @@ class RoutingResourceGraph:
 def build_routing_graph(arch: Architecture) -> RoutingResourceGraph:
     """Convenience constructor mirroring the paper's Figure 2 step."""
     return RoutingResourceGraph(arch)
+
+
+class DeviceTemplate:
+    """One architecture's device, built once and shared read-only.
+
+    Constructing a template runs :meth:`RoutingResourceGraph._build`
+    on a bare instance and keeps what it filled: the graph, which each
+    device copies, and the base-weight, segment, group and pin-tap
+    tables, which devices share by reference.  Nothing here is written
+    after construction, except two derived tables filled on first use:
+    the pristine CSR snapshot :meth:`RoutingResourceGraph.reset` thaws
+    (:meth:`pristine`) and the junction incidence index
+    :meth:`RoutingResourceGraph.uncommit` reads
+    (:meth:`junction_incidence`).  Two threads racing to fill either
+    build equal tables, and either may stay.
+    """
+
+    __slots__ = (
+        "graph",
+        "base_weight",
+        "segments",
+        "groups",
+        "pin_edges",
+        "_pristine",
+        "_jj_incident",
+    )
+
+    def __init__(self, arch: Architecture) -> None:
+        built = RoutingResourceGraph.__new__(RoutingResourceGraph)
+        built.arch = arch
+        built._build()
+        self.graph = built.graph
+        self.base_weight = built._base_weight
+        self.segments = built._segments
+        self.groups = built._groups
+        self.pin_edges = built._pin_edges
+        self._pristine: Optional[FlatGraph] = None
+        self._jj_incident: Optional[
+            Dict[Tuple, List[Tuple[Tuple, float]]]
+        ] = None
+
+    def pristine(self) -> FlatGraph:
+        """The built graph's CSR snapshot, frozen on first use.
+
+        Only a reset needs it, and a route that finishes in its first
+        pass never resets.
+        """
+        pristine = self._pristine
+        if pristine is None:
+            pristine = self._pristine = FlatGraph.from_graph(self.graph)
+        return pristine
+
+    def junction_incidence(self) -> Dict[Tuple, List[Tuple[Tuple, float]]]:
+        """Junction → ``[(junction, weight)]`` over the device's
+        junction-to-junction edges, built on first use: only a
+        quarantine repair's :meth:`RoutingResourceGraph.uncommit`
+        needs it.
+        """
+        incident = self._jj_incident
+        if incident is None:
+            incident = {}
+            for (u, v), w in self.base_weight.items():
+                if u[0] == "J" and v[0] == "J":
+                    incident.setdefault(u, []).append((v, w))
+                    incident.setdefault(v, []).append((u, w))
+            self._jj_incident = incident
+        return incident
+
+
+#: device templates kept per process.  Eight holds every width a
+#: channel-width sweep visits; the bound exists because a service sees
+#: many architectures and a full-size template is up to ~15 MB.
+TEMPLATE_CACHE_SIZE = 8
+
+
+def _new_template_lock() -> None:
+    # also run in every forked child: a fork while another thread
+    # builds a template must not hand the child a held lock
+    global _template_lock
+    _template_lock = threading.Lock()
+
+
+_new_template_lock()
+if hasattr(os, "register_at_fork"):  # POSIX
+    os.register_at_fork(after_in_child=_new_template_lock)
+
+
+@functools.lru_cache(maxsize=TEMPLATE_CACHE_SIZE)
+def _cached_template(
+    arch: Architecture, _weight_types: Tuple[type, ...]
+) -> DeviceTemplate:
+    return DeviceTemplate(arch)
+
+
+def _device_template(arch: Architecture) -> DeviceTemplate:
+    """``arch``'s template, built on the first call for it.
+
+    Keyed by the whole :class:`Architecture` value — every field but
+    ``name`` shapes the device — plus its weights' types, since
+    ``1 == 1.0`` but a device built with integer weights sums integer
+    lengths.  The lock makes concurrent first constructions build once.
+    """
+    weight_types = (
+        type(arch.segment_weight),
+        type(arch.switch_weight),
+        type(arch.pin_weight),
+    )
+    with _template_lock:
+        return _cached_template(arch, weight_types)

@@ -27,12 +27,12 @@ A request's identity is the sha256 of its canonical JSON: the placed
 circuit (:func:`repro.io.circuit_to_dict`), the schedule-relevant
 config fields (:func:`repro.engine.checkpoint.config_fingerprint` — the
 same identity checkpoints bind to), the architecture family, and the
-requested width (or sweep bound).  The execution engine, search kernel
-and graph backend are deliberately *excluded*: they are documented
-bit-identical, so they cannot change the result.  Submitting a
-fingerprint whose verified result already exists returns a new job that
-is immediately ``done`` with ``deduped_from`` pointing at the job that
-actually routed — no routing work is repeated.
+requested width (or sweep bound).  The execution engine and the search
+kernel are deliberately *excluded*: they are documented bit-identical,
+so they cannot change the result.  Submitting a fingerprint whose
+verified result already exists returns a new job that is immediately
+``done`` with ``deduped_from`` pointing at the job that actually routed
+— no routing work is repeated.
 """
 
 from __future__ import annotations
@@ -91,7 +91,7 @@ def request_fingerprint(
 
     Built from exactly the inputs that determine the routed *result*:
     the circuit, the schedule-relevant config fields, the architecture
-    family and the width question being asked.  Engine/search/backend
+    family and the width question being asked.  Engine and search
     selections are excluded — they are bit-identical by contract, so
     two requests differing only there deserve the same cached answer.
     """

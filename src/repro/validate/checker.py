@@ -135,7 +135,9 @@ def check_net_route(
     at device base weights (via the shared
     :func:`~repro.graph.validation.steiner_tree_violations`), and the
     route's own wirelength/pathlength bookkeeping recomputed from the
-    device.  ``device`` must be pristine (freshly built).
+    device.  ``device`` must be pristine: a newly constructed
+    :class:`RoutingResourceGraph`, which is a copy of the per-process
+    pristine device, never a device a router has consumed.
     """
     if report is None:
         report = ValidationReport(subject=f"net {route.name!r}")
@@ -388,10 +390,13 @@ def verify_result(
     """Certify ``result`` against ``circuit`` on ``device``.
 
     ``device`` is an :class:`Architecture` or a
-    :class:`RoutingResourceGraph` (only its architecture is used — the
-    checker always builds its own pristine graphs, so a consumed
-    post-route graph is fine to pass).  ``level`` is ``"static"`` or
-    ``"full"`` (static + commit-order replay).
+    :class:`RoutingResourceGraph` (only its architecture is used, so a
+    consumed post-route graph is fine to pass).  The checker takes its
+    own copies of the per-process pristine device — one to certify
+    against, one to replay on: it shares the device definition with
+    the router, as building from the architecture always did, and
+    never the router's state.  ``level`` is ``"static"`` or ``"full"``
+    (static + commit-order replay).
     """
     if level not in ("static", "full"):
         raise ValueError(f"unknown verification level {level!r}")
