@@ -24,9 +24,7 @@ can be driven without writing Python:
 ``route``, ``width`` and ``report`` share one engine option group —
 ``--engine/--seed/--passes/--trace`` — so the routing engine and its
 JSON trace are driven the same way everywhere (``route``/``width``
-*write* the trace; ``report`` *renders* one).  Pre-redesign flag
-spellings (e.g. ``--max-passes``) are still accepted but hidden from
-``--help``.
+*write* the trace; ``report`` *renders* one).
 """
 
 from __future__ import annotations
@@ -36,7 +34,6 @@ import json
 import os
 import random
 import sys
-import warnings
 from typing import List, Optional
 
 from .analysis import run_table1
@@ -66,37 +63,13 @@ def _family(spec):
     return xc3000 if spec.family == "xc3000" else xc4000
 
 
-class _DeprecatedAlias(argparse.Action):
-    """Store the value under ``dest`` but warn that the flag is legacy.
-
-    The pre-redesign spellings still work (scripts keep running), but
-    each use emits a :class:`DeprecationWarning` naming the replacement
-    so they can be migrated before removal.
-    """
-
-    def __init__(self, *args, replacement: str = "", **kwargs):
-        self.replacement = replacement
-        super().__init__(*args, **kwargs)
-
-    def __call__(self, parser, namespace, values, option_string=None):
-        warnings.warn(
-            f"{option_string} is deprecated; use {self.replacement}",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        setattr(namespace, self.dest, values)
-
-
 def _add_engine_options(
     parser, *, seed_default: int, trace_help: str, checkpointing: bool = False
 ) -> None:
     """The shared ``--engine/--seed/--passes/--trace`` option group.
 
-    Hidden aliases keep the pre-redesign spellings working (with a
-    :class:`DeprecationWarning`): ``--max-passes`` (for ``--passes``)
-    and ``--trace-file`` (for ``--trace``).  ``checkpointing`` adds
-    ``--checkpoint/--resume`` for the commands that actually run
-    routing sessions.
+    ``checkpointing`` adds ``--checkpoint/--resume`` for the commands
+    that actually run routing sessions.
     """
     group = parser.add_argument_group("engine options")
     group.add_argument(
@@ -112,14 +85,11 @@ def _add_engine_options(
         help="move-to-front pass budget (RouterConfig.max_passes)",
     )
     group.add_argument(
-        "--max-passes", dest="passes", type=int, help=argparse.SUPPRESS,
-        action=_DeprecatedAlias, replacement="--passes",
-    )
-    group.add_argument(
-        "--search", choices=SEARCH_BACKENDS, default="auto",
+        "--search", choices=SEARCH_BACKENDS, default="astar",
         help=(
-            "shortest-path kernel (RouterConfig.search); every backend "
-            "produces bit-identical routes"
+            "negotiated search (RouterConfig.search), --mode negotiate "
+            "only: A* is faster, plain Dijkstra can negotiate different "
+            "trees (see docs/pathfinder.md)"
         ),
     )
     group.add_argument(
@@ -138,10 +108,6 @@ def _add_engine_options(
         ),
     )
     group.add_argument("--trace", metavar="PATH", help=trace_help)
-    group.add_argument(
-        "--trace-file", dest="trace", metavar="PATH", help=argparse.SUPPRESS,
-        action=_DeprecatedAlias, replacement="--trace",
-    )
     if checkpointing:
         group.add_argument(
             "--checkpoint", metavar="PATH",

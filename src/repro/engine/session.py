@@ -367,7 +367,7 @@ class RoutingSession:
         rrg = RoutingResourceGraph(self.arch)
         order = router._initial_order(circuit.nets)
         critical = router._critical_names(circuit)
-        cache = ShortestPathCache(rrg.graph, search=router.search_policy())
+        cache = ShortestPathCache(rrg.graph, source_rooted=True)
 
         start_pass = 1
         last_failures: Optional[int] = None
@@ -1250,7 +1250,6 @@ class RoutingSession:
                     collect_counters=collect_counters,
                     index=self._task_counter,
                     faults=self.faults,
-                    heuristic_scale=self._heuristic_scale(),
                 )
             )
             self._task_counter += 1

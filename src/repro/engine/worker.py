@@ -66,10 +66,6 @@ class NetTask:
     index: int = 0
     #: scripted failure schedule, if the session is under fault injection
     faults: Optional[FaultPlan] = None
-    #: trusted Manhattan scale for the goal-directed search backends
-    #: (``min(segment_weight, pin_weight)`` of the architecture); None
-    #: lets the worker derive one from the graph if it needs it
-    heuristic_scale: Optional[float] = None
 
 
 def make_budget(config: RouterConfig) -> Optional[DijkstraBudget]:
@@ -150,6 +146,9 @@ class NegotiationTask:
     collect_counters: bool = False
     index: int = 0
     faults: Optional[FaultPlan] = None
+    #: trusted Manhattan scale for negotiated A*
+    #: (``min(segment_weight, pin_weight)`` of the architecture); None
+    #: lets the worker derive one from the graph
     heuristic_scale: Optional[float] = None
 
 
@@ -263,18 +262,9 @@ def _run(
     for pin in net.terminals:
         if not graph.has_node(pin) or graph.degree(pin) == 0:
             return done({"name": task.name, "status": INFEASIBLE})
-    policy = SearchPolicy(
-        task.config.search, heuristic_scale=task.heuristic_scale
-    )
-    cache = ShortestPathCache(graph, search=policy)
-    # mirrors FPGARouter._route_one: goal-directed backends settle just
-    # the sinks; the early-exit prefix is bit-identical to the full run
-    if task.config.search == "dijkstra":
-        source_dist, _ = cache.sssp(net.source)
-    else:
-        source_dist, _ = cache.sssp_limited(
-            net.source, targets=tuple(net.sinks)
-        )
+    # mirrors FPGARouter._route_one
+    cache = ShortestPathCache(graph, source_rooted=True)
+    source_dist, _ = cache.sssp(net.source)
     paths: Dict[object, List] = {}
     for sink in net.sinks:
         if sink not in source_dist:

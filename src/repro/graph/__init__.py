@@ -8,13 +8,7 @@ experimental workloads, and tree validation/pruning helpers.
 """
 
 from .core import Graph, edge_key
-from .flat import (
-    FlatGraph,
-    GraphView,
-    flat_astar,
-    flat_bidirectional,
-    flat_dijkstra,
-)
+from .flat import FlatGraph, GraphView, flat_dijkstra
 from .distance_graph import DistanceGraph, terminal_distances
 from .multiweight import MultiWeightGraph, sweep_tradeoff
 from .generators import (
@@ -39,7 +33,6 @@ from .shortest_paths import (
 from .search import (
     SEARCH_BACKENDS,
     Heuristic,
-    LandmarkIndex,
     SearchPolicy,
     lattice_coordinate,
     lattice_scale,
@@ -59,8 +52,6 @@ __all__ = [
     "edge_key",
     "FlatGraph",
     "GraphView",
-    "flat_astar",
-    "flat_bidirectional",
     "flat_dijkstra",
     "DistanceGraph",
     "terminal_distances",
@@ -83,7 +74,6 @@ __all__ = [
     "shortest_path",
     "SEARCH_BACKENDS",
     "Heuristic",
-    "LandmarkIndex",
     "SearchPolicy",
     "lattice_coordinate",
     "lattice_scale",

@@ -24,20 +24,20 @@ This module provides that representation:
   attached), and a cheap copy-on-write per-query view that attaches a
   few of them.  PathFinder negotiation freezes the device once per
   route this way and gives every net reroute its own overlay.
-* :func:`flat_dijkstra` / :func:`flat_astar` /
-  :func:`flat_bidirectional` — the search kernels, over int ids.  They
-  are the only shortest-path kernels in the package:
-  :func:`~repro.graph.shortest_paths.dijkstra`, the
-  :class:`~repro.graph.shortest_paths.ShortestPathCache` and every
-  :class:`~repro.graph.search.SearchPolicy` backend run them on
-  ``Graph.freeze()``.
+* :func:`flat_dijkstra` / :func:`flat_negotiated_search` — the search
+  kernels, over int ids.  They are the only shortest-path kernels in
+  the package: :func:`~repro.graph.shortest_paths.dijkstra` and the
+  :class:`~repro.graph.shortest_paths.ShortestPathCache` run the first
+  on ``Graph.freeze()``, and PathFinder's
+  :class:`~repro.graph.search.SearchPolicy` runs the second, as A* or
+  as plain Dijkstra, on a frozen device.
 
 Bit-identity contract
 ---------------------
-Each kernel replays the event sequence of the textbook search over the
-dict adjacency — one shared push counter, heap entries ``(key,
-counter, id)``, stale pops counted, the budget checked on every pop,
-the same early-exit and cutoff tests in the same order — so its
+:func:`flat_dijkstra` replays the event sequence of the textbook
+search over the dict adjacency — one shared push counter, heap entries
+``(key, counter, id)``, stale pops counted, the budget checked on every
+pop, the same early-exit and cutoff tests in the same order — so its
 ``(dist, pred)`` maps equal that search's exactly: the same IEEE
 doubles (the arithmetic ``d + w`` per relaxation happens in the same
 order on the same values), the same settled sets, the same
@@ -55,7 +55,6 @@ from __future__ import annotations
 import heapq
 import weakref
 from typing import (
-    Callable,
     Dict,
     Hashable,
     Iterable,
@@ -510,13 +509,13 @@ class FlatGraph:
 
         Each entry equals ``scale * (|x - tx| + |y - ty|)`` computed
         with the identical IEEE operation order as the scalar heuristic
-        in :func:`~repro.graph.search.manhattan_heuristic`, so the flat
-        A* kernel sees bit-identical ``f`` keys.  Nodes without a
-        lattice coordinate get 0.0 (the scalar fallback).
+        in :func:`~repro.graph.search.manhattan_heuristic`, so negotiated
+        A* sees bit-identical ``f`` keys.  Nodes without a lattice
+        coordinate get 0.0 (the scalar fallback).
 
         Tables are memoized per ``(target, scale)`` — the snapshot is
-        immutable, and the metric-closure sweeps of the Steiner
-        algorithms revisit the same sink many times per net.
+        immutable, and a negotiation iteration searches toward the same
+        sink once per pass.
         """
         cached = self._mh_tables.get((target, scale))
         if cached is not None:
@@ -669,22 +668,6 @@ class GraphView:
             self.flat, source, targets=targets, cutoff=cutoff
         )
 
-    def astar(
-        self,
-        source: Node,
-        target: Node,
-        heuristic,
-        cutoff: Optional[float] = None,
-    ) -> Tuple[Dict[Node, float], Dict[Node, Node]]:
-        return flat_astar(
-            self.flat, source, target, heuristic, cutoff=cutoff
-        )
-
-    def bidirectional(
-        self, source: Node, target: Node
-    ) -> Tuple[float, Optional[List[Node]]]:
-        return flat_bidirectional(self.flat, source, target)
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"GraphView({self.flat!r}, version={self.version})"
 
@@ -801,205 +784,6 @@ def flat_dijkstra(
     return dist, pred
 
 
-def flat_astar(
-    flat: FlatGraph,
-    source: Node,
-    target: Node,
-    heuristic: Callable[[Node], float],
-    cutoff: Optional[float] = None,
-) -> Tuple[Dict[Node, float], Dict[Node, Node]]:
-    """Goal-directed A* over the CSR arrays.
-
-    Bit-identical to the reference dict-adjacency A* under the same
-    heuristic.  Manhattan heuristics (``heuristic.key[0] ==
-    "manhattan"``) are evaluated through a vectorized per-id table —
-    elementwise the identical IEEE arithmetic as the scalar closure —
-    while arbitrary heuristics are called on node objects at exactly
-    the program points the dict kernel calls them.
-    """
-    index = flat.index
-    src = index.get(source)
-    if src is None:
-        raise GraphError(f"source {source!r} not in graph")
-    tgt = index.get(target)
-    if tgt is None:
-        raise GraphError(f"target {target!r} not in graph")
-    nodes = flat.nodes
-    rows = flat.rows()
-    n = len(nodes)
-
-    key = getattr(heuristic, "key", None)
-    table: Optional[List[float]] = None
-    if key is not None and key[0] == "manhattan":
-        table = flat.manhattan_table(target, key[1])
-    fn = heuristic
-
-    inf = INF
-    # `best[v]` = cheapest pushed g-label (the dict kernel's `seen`);
-    # the explicit settled flags stay because A* under a non-consistent
-    # heuristic may find a cheaper g for an already-settled node, and
-    # the dict kernel skips that relaxation rather than re-pushing
-    settled = bytearray(n)
-    best = [inf] * n
-    pred_arr = [0] * n
-    pred_order: List[int] = []
-    dist: Dict[Node, float] = {}
-    best[src] = 0.0
-    counter = 0
-    pops = 0
-    budget = get_dijkstra_budget()
-    h_src = table[src] if table is not None else fn(nodes[src])
-    # (f = g + h, tie counter, g, id), exactly as the dict kernel
-    heap: List[Tuple[float, int, float, int]] = [(h_src, 0, 0.0, src)]
-    heappop = heapq.heappop
-    heappush = heapq.heappush
-    while heap:
-        _, _, g, u = heappop(heap)
-        pops += 1
-        if budget is not None:
-            budget.check(pops, counter, backend="astar")
-        if settled[u]:
-            continue
-        settled[u] = 1
-        dist[nodes[u]] = g
-        if u == tgt:
-            break
-        for v, w in rows[u]:
-            if settled[v]:
-                continue
-            ng = g + w
-            if cutoff is not None and ng > cutoff:
-                continue
-            if ng < best[v]:
-                hv = table[v] if table is not None else fn(nodes[v])
-                if hv == INF:
-                    continue
-                if best[v] == inf:
-                    pred_order.append(v)
-                best[v] = ng
-                pred_arr[v] = u
-                counter += 1
-                heappush(heap, (ng + hv, counter, ng, v))
-    counters = get_dijkstra_counters()
-    if counters is not None:
-        counters.record(pops, counter, len(heap))
-    pred: Dict[Node, Node] = {}
-    for v in pred_order:
-        pred[nodes[v]] = nodes[pred_arr[v]]
-    return dist, pred
-
-
-def flat_bidirectional(
-    flat: FlatGraph, source: Node, target: Node
-) -> Tuple[float, Optional[List[Node]]]:
-    """Two-frontier Dijkstra over the CSR arrays.
-
-    Bit-identical to the reference dict-adjacency bidirectional search:
-    the shared push counter, the forward-on-ties frontier selection and
-    the meeting rule replay the dict kernel's event sequence exactly,
-    so the same
-    meeting node is found and the re-accumulated forward-order distance
-    is the same IEEE double.
-    """
-    index = flat.index
-    src = index.get(source)
-    if src is None:
-        raise GraphError(f"source {source!r} not in graph")
-    tgt = index.get(target)
-    if tgt is None:
-        raise GraphError(f"target {target!r} not in graph")
-    if src == tgt:
-        return 0.0, [source]
-    nodes = flat.nodes
-    rows = flat.rows()
-    n = len(nodes)
-    budget = get_dijkstra_budget()
-    # side 0 = forward, side 1 = backward; flat arrays per side
-    settled = (bytearray(n), bytearray(n))
-    in_seen = (bytearray(n), bytearray(n))
-    seen = ([0.0] * n, [0.0] * n)
-    dist_vals = ([0.0] * n, [0.0] * n)
-    pred_arr = ([0] * n, [0] * n)
-    in_seen[0][src] = 1
-    in_seen[1][tgt] = 1
-    heap_f: List[Tuple[float, int, int]] = [(0.0, 0, src)]
-    heap_b: List[Tuple[float, int, int]] = [(0.0, 0, tgt)]
-    heaps = (heap_f, heap_b)
-    counter = 0
-    pops = 0
-    best = INF
-    meet = -1
-    while heap_f and heap_b:
-        if heap_f[0][0] + heap_b[0][0] >= best:
-            break
-        side = 0 if heap_f[0][0] <= heap_b[0][0] else 1
-        other = 1 - side
-        heap = heaps[side]
-        stl = settled[side]
-        stl_other = settled[other]
-        sn = seen[side]
-        isn = in_seen[side]
-        dv = dist_vals[side]
-        pr = pred_arr[side]
-        dv_other = dist_vals[other]
-        sn_other = seen[other]
-        isn_other = in_seen[other]
-        d, _, u = heapq.heappop(heap)
-        pops += 1
-        if budget is not None:
-            budget.check(pops, counter, backend="bidir")
-        if stl[u]:
-            continue
-        stl[u] = 1
-        dv[u] = d
-        if stl_other[u] and d + dv_other[u] < best:
-            best = d + dv_other[u]
-            meet = u
-        for v, w in rows[u]:
-            if stl[v]:
-                continue
-            nd = d + w
-            if not isn[v] or nd < sn[v]:
-                isn[v] = 1
-                sn[v] = nd
-                pr[v] = u
-                counter += 1
-                heapq.heappush(heap, (nd, counter, v))
-            if isn_other[v]:
-                nb = nd + sn_other[v]
-                if nb < best:
-                    # any tentative other-side label is a realizable
-                    # path length: this only ever tightens the bound
-                    best = nb
-                    meet = v
-    counters = get_dijkstra_counters()
-    if counters is not None:
-        counters.record(pops, counter, len(heap_f) + len(heap_b))
-    if meet < 0:
-        return INF, None
-    # rebuild the node path: forward half via the forward pred chain,
-    # then the backward half appended toward the target
-    chain = [meet]
-    node = meet
-    while node != src:
-        node = pred_arr[0][node]
-        chain.append(node)
-    chain.reverse()
-    node = meet
-    while node != tgt:
-        node = pred_arr[1][node]
-        chain.append(node)
-    # re-accumulate the distance in forward edge order along the found
-    # path, exactly like the dict kernel (float addition order matters)
-    d = 0.0
-    for a, b in zip(chain, chain[1:]):
-        for j, w in rows[a]:
-            if j == b:
-                d += w
-                break
-    return d, [nodes[i] for i in chain]
-
-
 def flat_negotiated_search(
     flat: FlatGraph,
     sources,
@@ -1030,10 +814,11 @@ def flat_negotiated_search(
     equivalent to a super-source with weighted seed edges, so A*
     exactness is unaffected.  Unrelaxed seeds carry no predecessor, so
     walking ``pred`` back from ``target`` ends at a seed.  Manhattan
-    heuristics run through the memoized per-id table like
-    :func:`flat_astar`; with a heuristic that lower-bounds the *base*
-    distance the search is exact goal-directed A* (factors ``>= 1``
-    never undercut the base weight).
+    heuristics (``heuristic.key[0] == "manhattan"``) run through the
+    memoized per-id table (:meth:`FlatGraph.manhattan_table`), any
+    other heuristic is called on node objects; with a heuristic that
+    lower-bounds the *base* distance the search is exact goal-directed
+    A* (factors ``>= 1`` never undercut the base weight).
     """
     index = flat.index
     tgt = index.get(target)

@@ -1,33 +1,28 @@
-"""Goal-directed search: A*, bidirectional Dijkstra, ALT heuristics.
+"""Goal-directed negotiated search: the Manhattan bound and its policy.
 
 Every construction in the paper — the KMB/Mehlhorn metric closures, the
 dominance predicates of Section 4, and the router's maze expansion —
-bottoms out in :func:`repro.graph.shortest_paths.dijkstra`, so it is the
-hottest path in the codebase.  Goal-oriented search with admissible
-lower bounds (Hougardy et al., *Dijkstra meets Steiner*) prunes most of
-the frontier while preserving exactness, and production FPGA routers
-run exactly this shape of A* over the routing-resource graph.  The
-kernels live in :mod:`repro.graph.flat` and run on a graph's frozen CSR
-view; this module provides the heuristics, and :class:`SearchPolicy`
-packages both for
-:class:`~repro.graph.shortest_paths.ShortestPathCache`.
+asks shortest-path questions about one net's terminals, and answers
+them from the single-source trees that
+:class:`~repro.graph.shortest_paths.ShortestPathCache` shares.  Those
+queries are short and warm trees answer most of them, so a future-cost
+bound has nothing to prune there (Hougardy et al., *Dijkstra meets
+Steiner*: a bound pays only when a search would otherwise settle far
+past its target).  PathFinder's negotiated searches are the exception:
+each connection is a fresh multi-source search over the whole device,
+and A* under the channel-lattice bound settles far fewer nodes.  This
+module provides that bound, and :class:`SearchPolicy` selects whether
+the negotiated kernel (:func:`~repro.graph.flat.flat_negotiated_search`)
+uses it.
 
 Exactness contract
 ------------------
-* :func:`~repro.graph.flat.flat_astar` with an *admissible and
-  consistent* heuristic settles nodes with their exact distance, so
-  ``dist[target]`` equals the plain Dijkstra distance whenever
-  ``target`` is reachable.
-* :func:`~repro.graph.flat.flat_bidirectional` uses the standard
-  two-frontier stopping rule (``top_f + top_b >= mu``) and returns the
-  exact distance.
-* Neither kernel reproduces plain Dijkstra's equal-cost tie-breaking
-  (A* pops by ``g + h``, the bidirectional search meets in the middle),
-  so the cache wiring uses them **only for distance queries**.
-  Canonical *paths* always come from plain — possibly early-exit —
-  Dijkstra runs: an early-exit run executes an identical prefix of the
-  full run, and a settled node's ``(dist, pred)`` never changes after
-  settling, so the paths it yields are bit-identical to the full run's.
+The negotiated kernel under an *admissible and consistent* heuristic
+settles every node at its exact negotiated distance, so A* and plain
+Dijkstra agree on ``dist[target]``.  They do not agree on equal-cost
+tie-breaking (A* pops by ``g + h``), so the two backends can route
+different trees: ``RouterConfig.search`` is a negotiation choice, not
+an implementation detail.
 
 Heuristics
 ----------
@@ -39,32 +34,31 @@ themselves.  With ``scale`` a lower bound on ``weight / L1-displacement``
 over every displacement edge, ``h(v) = scale · L1(v, target)`` is
 admissible and consistent: an edge moving ``d ≤ 1`` in L1 costs at
 least ``scale · d``, so ``h`` can never drop faster than the edge
-weight.  :class:`LandmarkIndex` provides the general-graph fallback
-(ALT lower bounds via the triangle inequality), precomputed per
-:attr:`Graph.version`.
+weight.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Hashable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Hashable, Optional, Sequence, Tuple
 
 from ..errors import GraphError
 from .core import Graph
 from .flat import FlatGraph, flat_negotiated_search
-from .shortest_paths import dijkstra
 
 Node = Hashable
 INF = float("inf")
 
-#: the RouterConfig.search vocabulary
-SEARCH_BACKENDS = ("dijkstra", "astar", "bidir", "auto")
+#: the RouterConfig.search vocabulary: how negotiated searches run
+SEARCH_BACKENDS = ("astar", "dijkstra")
 
 
 class Heuristic:
     """A lower-bound function plus a hashable identity.
 
-    ``key`` identifies the heuristic for cache keying — two heuristics
-    with equal keys must compute identical bounds.
+    ``key`` identifies the heuristic — two heuristics with equal keys
+    must compute identical bounds.  The negotiated kernel reads a
+    ``("manhattan", scale, target)`` key to evaluate the bound through
+    the snapshot's memoized per-id table.
     """
 
     __slots__ = ("fn", "key")
@@ -172,134 +166,39 @@ def manhattan_heuristic(
     return Heuristic(h, ("manhattan", scale, target))
 
 
-class LandmarkIndex:
-    """ALT (A*, Landmarks, Triangle inequality) lower bounds.
-
-    ``k`` landmarks are chosen by deterministic farthest-point
-    selection (first landmark = smallest node by ``repr``; each next
-    landmark maximizes the distance to the chosen set, unreachable
-    nodes counting as farthest so every component gets covered).  One
-    full Dijkstra per landmark is precomputed; the index is valid for
-    exactly one :attr:`Graph.version` (check :meth:`fresh`).
-
-    ``h(v) = max_L |d(L, target) − d(L, v)|`` is admissible and
-    consistent by the triangle inequality; landmark maps missing either
-    endpoint contribute nothing (0), which keeps the bound admissible
-    on disconnected graphs.
-    """
-
-    def __init__(self, graph: Graph, k: int = 4) -> None:
-        if k < 1:
-            raise GraphError(f"landmark count must be >= 1, got {k}")
-        self._graph = graph
-        self._version = graph.version
-        nodes = sorted(graph.nodes, key=repr)
-        self._landmarks: List[Node] = []
-        self._maps: List[Dict[Node, float]] = []
-        if not nodes:
-            return
-        k = min(k, len(nodes))
-        current = nodes[0]
-        while len(self._landmarks) < k:
-            self._landmarks.append(current)
-            self._maps.append(dijkstra(graph, current)[0])
-            if len(self._landmarks) == k:
-                break
-            best = None
-            best_d = -1.0
-            for n in nodes:
-                if n in self._landmarks:
-                    continue
-                dmin = min(m.get(n, INF) for m in self._maps)
-                if dmin > best_d:
-                    best_d = dmin
-                    best = n
-            if best is None:  # pragma: no cover - k capped at |V|
-                break
-            current = best
-
-    @property
-    def landmarks(self) -> Tuple[Node, ...]:
-        return tuple(self._landmarks)
-
-    def fresh(self, graph: Graph) -> bool:
-        """True while the index still describes ``graph``."""
-        return graph is self._graph and graph.version == self._version
-
-    def heuristic(self, target: Node) -> Heuristic:
-        rows = [(m, m.get(target, INF)) for m in self._maps]
-
-        def h(node: Node) -> float:
-            best = 0.0
-            for m, dt in rows:
-                if dt == INF:
-                    continue
-                dv = m.get(node, INF)
-                if dv == INF:
-                    continue
-                diff = dt - dv
-                if diff < 0.0:
-                    diff = -diff
-                if diff > best:
-                    best = diff
-            return best
-
-        return Heuristic(
-            h, ("alt", self._version, len(self._landmarks), target)
-        )
-
-
 class SearchPolicy:
-    """How a :class:`ShortestPathCache` answers point-to-point queries.
+    """How PathFinder's negotiated searches run.
 
     Parameters
     ----------
     backend:
-        One of :data:`SEARCH_BACKENDS`.  ``"dijkstra"`` keeps the plain
-        kernel everywhere (the reference profile); ``"astar"`` uses
-        goal-directed search for pair distances when a heuristic is
-        available (falling back to the bidirectional kernel);
-        ``"bidir"`` always uses the bidirectional kernel; ``"auto"``
-        picks A* when a heuristic can be derived, else bidirectional.
+        One of :data:`SEARCH_BACKENDS`.  ``"astar"`` (the default)
+        searches goal-directed under the channel-lattice Manhattan
+        bound whenever one is available; ``"dijkstra"`` runs the plain
+        multi-source kernel.  Both are exact under the negotiated
+        costs, but they break equal-cost ties differently, so they can
+        route different trees (``docs/pathfinder.md`` records the
+        trade).
     heuristic_scale:
         Trusted per-unit-L1 weight lower bound.  The router supplies
         ``min(segment_weight, pin_weight)`` from the architecture,
-        which skips the O(E) lattice verification scan and — unlike a
-        scale derived from the current edge set — stays admissible as
-        pin edges are attached and detached mid-pass.  Callers
+        which skips the O(E) lattice verification scan.  Callers
         providing it assert that every node on any path has a
         :func:`lattice_coordinate` and every edge satisfies
         ``weight ≥ scale · L1-displacement``.
-    landmarks:
-        When > 0, build a :class:`LandmarkIndex` of that many landmarks
-        for graphs that are not lattices.  The index costs one full
-        Dijkstra per landmark and is rebuilt whenever the graph
-        version changes — intended for static general graphs, never
-        for the mutating routing graph.
 
-    Every plain and goal-directed kernel runs over the graph's frozen
-    CSR view (``Graph.freeze()``).  All distances computed through a policy are exact, so any backend
-    may share a cache's pair-distance store; the policy's :meth:`key`
-    still participates in cache keying so that differently-configured
-    runs are never conflated.
+    Paper mode never consults a policy: its distances come from the
+    cached single-source trees of
+    :class:`~repro.graph.shortest_paths.ShortestPathCache`.
     """
 
-    __slots__ = (
-        "backend",
-        "heuristic_scale",
-        "landmarks",
-        "_scale_graph",
-        "_scale_version",
-        "_scale",
-        "_alt",
-    )
+    __slots__ = ("backend", "heuristic_scale")
 
     def __init__(
         self,
-        backend: str = "auto",
+        backend: str = "astar",
         *,
         heuristic_scale: Optional[float] = None,
-        landmarks: int = 0,
     ) -> None:
         if backend not in SEARCH_BACKENDS:
             raise GraphError(
@@ -310,15 +209,8 @@ class SearchPolicy:
             raise GraphError(
                 f"heuristic_scale must be positive, got {heuristic_scale}"
             )
-        if landmarks < 0:
-            raise GraphError(f"landmarks must be >= 0, got {landmarks}")
         self.backend = backend
         self.heuristic_scale = heuristic_scale
-        self.landmarks = landmarks
-        self._scale_graph: Optional[int] = None
-        self._scale_version: Optional[int] = None
-        self._scale: Optional[float] = None
-        self._alt: Optional[LandmarkIndex] = None
 
     @classmethod
     def for_architecture(cls, backend: str, arch) -> "SearchPolicy":
@@ -333,37 +225,6 @@ class SearchPolicy:
         if scale <= 0:
             return cls(backend)
         return cls(backend, heuristic_scale=scale)
-
-    def key(self) -> Tuple:
-        """Hashable identity (backend + heuristic configuration)."""
-        return (self.backend, self.heuristic_scale, self.landmarks)
-
-    def _scale_for(self, graph: Graph) -> Optional[float]:
-        if self.heuristic_scale is not None:
-            return self.heuristic_scale
-        if (
-            self._scale_graph != id(graph)
-            or self._scale_version != graph.version
-        ):
-            self._scale = lattice_scale(graph)
-            self._scale_graph = id(graph)
-            self._scale_version = graph.version
-        return self._scale
-
-    def heuristic_for(
-        self, graph: Graph, target: Node
-    ) -> Optional[Heuristic]:
-        """An admissible heuristic toward ``target``, or None."""
-        scale = self._scale_for(graph)
-        if scale is not None:
-            h = manhattan_heuristic(graph, target, scale=scale)
-            if h is not None:
-                return h
-        if self.landmarks > 0:
-            if self._alt is None or not self._alt.fresh(graph):
-                self._alt = LandmarkIndex(graph, self.landmarks)
-            return self._alt.heuristic(target)
-        return None
 
     def negotiated_search(
         self,
@@ -387,17 +248,15 @@ class SearchPolicy:
         and one factor table serve every net of an iteration.  Factors
         must be ``>= 1``: the blended cost then never undercuts the
         base weight, which keeps this policy's base-metric Manhattan
-        heuristic admissible for the goal-directed backends.
+        heuristic admissible.
 
-        Backend mapping: ``"dijkstra"`` runs the plain multi-source
-        kernel; ``"astar"``/``"auto"`` go goal-directed when a
-        Manhattan bound is available (ALT landmarks index mutable
-        graphs and do not apply here); ``"bidir"`` has no multi-source
-        two-frontier form and deliberately degrades to the plain
-        kernel (documented in ``docs/pathfinder.md``).
+        ``"astar"`` goes goal-directed when a Manhattan bound is
+        available (the trusted scale, else one derived from ``flat``)
+        and runs the plain kernel otherwise; ``"dijkstra"`` always runs
+        the plain kernel.
         """
         heuristic = None
-        if self.backend in ("astar", "auto"):
+        if self.backend == "astar":
             scale = self.heuristic_scale
             if scale is None:
                 scale = lattice_scale(flat)
@@ -412,19 +271,3 @@ class SearchPolicy:
             heuristic=heuristic,
             offsets=offsets,
         )
-
-    def pair_distance(self, graph: Graph, u: Node, v: Node) -> float:
-        """Exact ``minpath(u, v)`` via the configured kernel (inf if
-        disconnected)."""
-        backend = self.backend
-        view = graph.freeze()
-        if backend == "dijkstra":
-            dist, _ = view.sssp(u, targets=[v])
-            return dist.get(v, INF)
-        if backend in ("astar", "auto"):
-            h = self.heuristic_for(graph, v)
-            if h is not None:
-                dist, _ = view.astar(u, v, h)
-                return dist.get(v, INF)
-        d, _ = view.bidirectional(u, v)
-        return d

@@ -31,7 +31,7 @@ import time
 from typing import Dict, Hashable, Iterable, List, Optional, Tuple
 
 from ..errors import DisconnectedError, EngineTimeoutError
-from .core import Graph, edge_key
+from .core import Graph
 
 Node = Hashable
 INF = float("inf")
@@ -43,12 +43,12 @@ Entry = Tuple[Dict[Node, float], Dict[Node, Node]]
 class DijkstraCounters:
     """Aggregated operation counts across Dijkstra runs.
 
-    ``calls`` is the number of search-kernel invocations (plain
-    Dijkstra, A*, or bidirectional), ``heap_pops`` counts every pop
-    (including stale entries), ``relaxations`` counts successful edge
-    relaxations (heap pushes), and ``pruned`` counts heap entries a
-    kernel abandoned unpopped at termination — the direct measure of
-    how much frontier an early exit or goal-directed bound cut off.
+    ``calls`` is the number of search-kernel invocations (plain or
+    negotiated), ``heap_pops`` counts every pop (including stale
+    entries), ``relaxations`` counts successful edge relaxations (heap
+    pushes), and ``pruned`` counts heap entries a kernel abandoned
+    unpopped at termination — the direct measure of how much frontier
+    an early exit or goal-directed bound cut off.
     ``record`` takes one lock per *call*, not per operation, so
     multi-threaded engine workers can share a single instance.
     """
@@ -133,9 +133,10 @@ class DijkstraBudget:
     ) -> None:
         """Raise :class:`EngineTimeoutError` when the budget is blown.
 
-        ``backend`` names the search kernel doing the work ("dijkstra",
-        "astar", "bidir"); it is carried in the error's ``partial``
-        stats so timeout reports identify which kernel was active.
+        ``backend`` names the search kernel doing the work
+        ("dijkstra" or "negotiate"); it is carried in the error's
+        ``partial`` stats so timeout reports identify which kernel was
+        active.
         """
         if (
             self.max_relaxations is not None
@@ -301,42 +302,29 @@ class ShortestPathCache:
     This is the concrete realization of the paper's complexity reductions:
     IGMST evaluates ``ΔH`` for every candidate node, and IDOM calls DOM
     ``O(|V|·|N|)`` times — both become tractable once those calls share
-    shortest-path work.  Without a search policy (or under the plain
-    ``"dijkstra"`` backend) a closure lookup roots a full SSSP at the
-    queried terminal, so later calls reuse terminal-rooted trees.  Under
-    a goal-directed policy (the router's default ``"auto"``) a closure
-    lookup is a pair search until its endpoint is promoted after
-    ``PAIR_PROMOTE`` misses; IGMST therefore calls :meth:`warm` on
-    every member of N ∪ S at the start of each large ΔH round rather
-    than paying for the misses first.
+    shortest-path work.  :meth:`dist` answers from a stored tree of
+    either endpoint and otherwise roots a full SSSP at the queried
+    source, so a closure's later lookups reuse terminal-rooted trees;
+    IGMST also warms every member of N ∪ S before a large ΔH round.
 
     Limited runs (``targets``/``cutoff``) are second-class citizens: they
     live in a separate store keyed by their limits and can never answer a
     full query (see :meth:`sssp_limited`).
 
-    Search policies.  Constructed with a
-    :class:`~repro.graph.search.SearchPolicy`, the cache answers
-    point-to-point queries with goal-directed kernels instead of full
-    SSSPs:
+    Path rules.  A path not covered by a stored tree of its source
+    comes from one of two rules, fixed at construction:
 
-    * :meth:`dist` consults a pair-distance store and computes misses
-      with the policy's kernel (A*/bidirectional).  Pair values are
-      exact, hence backend-independent — but kernel ``(dist, pred)``
-      maps are *never* stored where plain-Dijkstra results live:
-      A*/bidirectional results are reduced to bare floats.  An
-      endpoint that keeps missing (``PAIR_PROMOTE`` kernel computes)
-      is promoted to a full SSSP so closure-style workloads never do
-      worse than the plain backend.
-    * :meth:`path` becomes *canonically source-rooted*: the path is
-      always reconstructed from a (possibly early-exit) plain Dijkstra
-      run rooted at the query's source, independent of what happens to
-      be cached.  An early-exit run's settled prefix is bit-identical
-      to the full run, so every search backend returns the identical
-      node sequence — this is what makes ``RouterConfig.search``
-      results indistinguishable across backends.
-
-    Without a policy the cache behaves exactly as it always has (plain
-    kernels, full-SSSP fallbacks).
+    * ``source_rooted=True`` — the router's caches.  The path is
+      reconstructed from a (possibly early-exit) plain Dijkstra run
+      rooted at the query's source.  An early-exit run's settled prefix
+      is bit-identical to the full run, so the node sequence is
+      independent of what happens to be cached.
+    * ``source_rooted=False`` (default) — every other caller.  The path
+      is the reverse of the target's full SSSP tree path.  It stays
+      because the paper's experiments run on unit-weight grids full of
+      equal-cost ties: rooting these paths at the source changes
+      committed outputs (Table 1's low- and medium-congestion rows,
+      Figure 13's IDOM trace).
 
     Accounting: ``hits``/``misses`` count lookups answered from /
     absent from the store; ``invalidations`` counts version-change (or
@@ -344,24 +332,15 @@ class ShortestPathCache:
     ``entries_invalidated`` the total number of entries dropped.
     """
 
-    #: pair-query misses per endpoint before promoting it to a full SSSP
-    #: (IGMST warms a ΔH round's members up front at this many candidates)
-    PAIR_PROMOTE = 8
-
-    def __init__(self, graph: Graph, search=None):
+    def __init__(self, graph: Graph, *, source_rooted: bool = False):
         self._graph = graph
         self._store: Dict[Node, Entry] = {}
         #: limited plain runs, keyed (source, frozenset(targets)|None,
-        #: cutoff); goal-directed runs are reduced to bare floats and
-        #: never stored here
+        #: cutoff)
         self._partial_store: Dict[Tuple, Entry] = {}
         #: partial keys per source, for coverage lookups
         self._partial_index: Dict[Node, List[Tuple]] = {}
-        #: exact point-to-point distances, keyed (policy key, edge key)
-        self._pair_store: Dict[Tuple, float] = {}
-        #: kernel computes per endpoint (drives full-SSSP promotion)
-        self._pair_misses: Dict[Node, int] = {}
-        self._search = search
+        self._source_rooted = source_rooted
         self._version = graph.version
         self.hits = 0
         self.misses = 0
@@ -369,25 +348,14 @@ class ShortestPathCache:
         self.entries_invalidated = 0
 
     @property
-    def search(self):
-        """The attached :class:`SearchPolicy` (None = plain behaviour)."""
-        return self._search
-
-    @property
     def graph(self) -> Graph:
         return self._graph
 
     def _drop_all(self) -> int:
-        dropped = (
-            len(self._store)
-            + len(self._partial_store)
-            + len(self._pair_store)
-        )
+        dropped = len(self._store) + len(self._partial_store)
         self._store.clear()
         self._partial_store.clear()
         self._partial_index.clear()
-        self._pair_store.clear()
-        self._pair_misses.clear()
         return dropped
 
     def _check_version(self) -> None:
@@ -422,7 +390,6 @@ class ShortestPathCache:
             "entries_invalidated": self.entries_invalidated,
             "entries": len(self._store),
             "partial_entries": len(self._partial_store),
-            "pair_entries": len(self._pair_store),
         }
 
     def reset_stats(self) -> None:
@@ -525,13 +492,8 @@ class ShortestPathCache:
         """``minpath_G(source, target)``; INF if unreachable.
 
         Answered from whichever endpoint is already cached (the graph is
-        undirected so ``d(u,v) == d(v,u)``), preferring ``source``.
-        Without a search policy (or under the plain backend) a miss
-        falls back to a full SSSP from ``source`` — the historical
-        behaviour.  With a goal-directed policy, a miss consults the
-        pair-distance store and settled partial runs before running the
-        policy's kernel; all of these yield the exact distance, so the
-        answer is independent of the backend.
+        undirected so ``d(u,v) == d(v,u)``), preferring ``source``; a
+        miss roots a full SSSP at ``source``.
         """
         self._check_version()
         entry = self._store.get(source)
@@ -542,52 +504,17 @@ class ShortestPathCache:
         if entry is not None:
             self.hits += 1
             return entry[0].get(source, INF)
-        policy = self._search
-        if policy is None or policy.backend == "dijkstra":
-            return self.sssp(source)[0].get(target, INF)
-        pair_key = (policy.key(), edge_key(source, target))
-        d = self._pair_store.get(pair_key)
-        if d is not None:
-            self.hits += 1
-            return d
-        entry = self._partial_covering(source, target)
-        if entry is not None:
-            self.hits += 1
-            d = entry[0][target]
-            self._pair_store[pair_key] = d
-            return d
-        entry = self._partial_covering(target, source)
-        if entry is not None:
-            self.hits += 1
-            d = entry[0][source]
-            self._pair_store[pair_key] = d
-            return d
-        # an endpoint that keeps triggering kernel runs is cheaper to
-        # warm once: promote it to a full (plain) SSSP, after which the
-        # whole closure around it answers from the store
-        nu = self._pair_misses.get(source, 0) + 1
-        self._pair_misses[source] = nu
-        nv = self._pair_misses.get(target, 0) + 1
-        self._pair_misses[target] = nv
-        if nu >= self.PAIR_PROMOTE:
-            d = self.sssp(source)[0].get(target, INF)
-        elif nv >= self.PAIR_PROMOTE:
-            d = self.sssp(target)[0].get(source, INF)
-        else:
-            self.misses += 1
-            d = policy.pair_distance(self._graph, source, target)
-        self._pair_store[pair_key] = d
-        return d
+        return self.sssp(source)[0].get(target, INF)
 
     def path(self, source: Node, target: Node) -> List[Node]:
         """One shortest path ``source .. target`` as a node list.
 
-        With a search policy attached the result is *canonical*: always
-        reconstructed from a source-rooted plain-Dijkstra run (cached
-        full tree, covering partial run, or a fresh early-exit run), so
-        the node sequence is the same under every search backend and
-        independent of cache history.  Without a policy, the historical
-        fallback reconstructs from a target-rooted full run instead.
+        A stored tree of ``source`` answers first.  Otherwise the
+        cache's path rule applies (see the class docstring): a
+        source-rooted cache reconstructs from a covering partial run or
+        a fresh early-exit run from ``source``, so the node sequence is
+        independent of cache history; the default rule reverses the
+        path of ``target``'s full tree.
         """
         self._check_version()
         full = self._store.get(source)
@@ -597,7 +524,7 @@ class ShortestPathCache:
             if target not in dist:
                 raise DisconnectedError(source, target)
             return reconstruct_path(pred, source, target)
-        if self._search is None:
+        if not self._source_rooted:
             dist, pred = self.sssp(target)
             if source not in dist:
                 raise DisconnectedError(source, target)

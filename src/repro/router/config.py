@@ -94,17 +94,15 @@ class RouterConfig:
         operation bound that is deterministic across machines, unlike
         the wall-clock deadlines.  ``None`` is unbounded.
     search:
-        Shortest-path kernel selection, one of
-        :data:`~repro.graph.search.SEARCH_BACKENDS`.  ``"dijkstra"``
-        keeps plain Dijkstra everywhere (the reference profile);
-        ``"astar"`` answers point-to-point queries with goal-directed
-        search under the channel-lattice Manhattan lower bound;
-        ``"bidir"`` uses bidirectional Dijkstra; ``"auto"`` (the
-        default) picks A* when a heuristic is available and
-        bidirectional otherwise.  All backends produce bit-identical
-        routing trees — goal-directed kernels are used only for exact
-        distance queries, and canonical paths always come from plain
-        Dijkstra runs (see ``docs/search.md``).
+        How negotiated searches run (negotiate mode only), one of
+        :data:`~repro.graph.search.SEARCH_BACKENDS`.  ``"astar"`` (the
+        default) searches goal-directed under the channel-lattice
+        Manhattan lower bound; ``"dijkstra"`` runs the plain kernel.
+        Neither dominates: A* routes faster, plain Dijkstra sometimes
+        finds a narrower minimum width, and the two can route
+        different trees (``docs/pathfinder.md``).  Paper mode ignores
+        the field: its distances always come from cached single-source
+        trees.
     mode:
         Top-level routing strategy, one of :data:`MODES`.  ``"paper"``
         (default) is the paper's rip-up-and-retry loop over disjoint
@@ -167,7 +165,7 @@ class RouterConfig:
     pass_timeout_s: Optional[float] = None
     route_timeout_s: Optional[float] = None
     max_relaxations: Optional[int] = None
-    search: str = "auto"
+    search: str = "astar"
     verify: str = "off"
     mode: str = "paper"
     timing: bool = False

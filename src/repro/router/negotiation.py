@@ -30,7 +30,7 @@ overused.  Pin nodes are exclusive terminals and always have factor 1.
 An edge's negotiated weight is ``base(u, v) · (factor(u) + factor(v))
 / 2`` — symmetric, equal to the base weight on uncongested ground, and
 never below it (factors are ≥ 1), which keeps the architecture's
-Manhattan lower bound admissible for the goal-directed kernels.  The
+Manhattan lower bound admissible for negotiated A*.  The
 timing blend against per-connection slack ratios happens inside the
 kernel (see :func:`repro.graph.flat.flat_negotiated_search` and
 :mod:`repro.router.timing`).

@@ -146,11 +146,11 @@ class FPGARouter:
         self.config = config or RouterConfig()
 
     def search_policy(self) -> SearchPolicy:
-        """The shortest-path kernel policy for this router's caches.
+        """The policy of this router's negotiated searches.
 
         The Manhattan scale comes from the architecture
         (``min(segment_weight, pin_weight)``), so it stays admissible
-        as pins attach/detach and congestion raises edge weights.
+        as pins attach/detach and negotiated costs raise edge weights.
         """
         return SearchPolicy.for_architecture(self.config.search, self.arch)
 
@@ -361,18 +361,10 @@ class FPGARouter:
                 rrg.detach_pins(net.terminals)
                 return None
         if cache is None:
-            cache = ShortestPathCache(graph, search=self.search_policy())
+            cache = ShortestPathCache(graph, source_rooted=True)
         # record the graph-optimal pathlengths *before* routing, for the
-        # pathlength-stretch metrics of Table 5.  Goal-directed backends
-        # settle just the sinks via an early-exit run; its settled
-        # prefix is bit-identical to the full SSSP, so the distances
-        # (and the canonical paths below) cannot differ.
-        if self.config.search == "dijkstra":
-            source_dist, _ = cache.sssp(net.source)
-        else:
-            source_dist, _ = cache.sssp_limited(
-                net.source, targets=tuple(net.sinks)
-            )
+        # pathlength-stretch metrics of Table 5
+        source_dist, _ = cache.sssp(net.source)
         optimal = {}
         for sink in net.sinks:
             if sink not in source_dist:

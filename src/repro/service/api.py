@@ -27,12 +27,17 @@ A request's identity is the sha256 of its canonical JSON: the placed
 circuit (:func:`repro.io.circuit_to_dict`), the schedule-relevant
 config fields (:func:`repro.engine.checkpoint.config_fingerprint` — the
 same identity checkpoints bind to), the architecture family, and the
-requested width (or sweep bound).  The execution engine and the search
-kernel are deliberately *excluded*: they are documented bit-identical,
-so they cannot change the result.  Submitting a fingerprint whose
-verified result already exists returns a new job that is immediately
-``done`` with ``deduped_from`` pointing at the job that actually routed
-— no routing work is repeated.
+requested width (or sweep bound).  A negotiate-mode request also binds
+its ``search`` value, because A* and plain Dijkstra can negotiate
+different trees; paper mode never reads it, so paper-mode identities
+leave it out.  The execution engine is excluded, although a parallel
+engine can negotiate a request differently from the serial one: a
+request that names no engine runs on whichever engine the server uses
+at claim time, so there is no single value to bind at submit
+(``docs/service.md``).  Submitting a fingerprint whose verified result
+already exists returns a new job that is immediately ``done`` with
+``deduped_from`` pointing at the job that actually routed — no routing
+work is repeated.
 """
 
 from __future__ import annotations
@@ -89,11 +94,13 @@ def request_fingerprint(
 ) -> str:
     """The dedupe identity of one routing request.
 
-    Built from exactly the inputs that determine the routed *result*:
-    the circuit, the schedule-relevant config fields, the architecture
-    family and the width question being asked.  Engine and search
-    selections are excluded — they are bit-identical by contract, so
-    two requests differing only there deserve the same cached answer.
+    Built from the inputs that determine the routed *result*: the
+    circuit, the schedule-relevant config fields, the architecture
+    family, the width question being asked and, under
+    ``mode="negotiate"``, the negotiated search.  Paper-mode identities
+    carry no ``search`` key, so they equal those of stores written
+    before negotiate-mode requests bound it.  The engine is excluded
+    (see the module docstring).
     """
     doc = {
         "circuit": circuit_to_dict(circuit),
@@ -102,6 +109,8 @@ def request_fingerprint(
         "width": width,
         "w_max": w_max if width is None else None,
     }
+    if config.mode == "negotiate":
+        doc["search"] = config.search
     canonical = json.dumps(doc, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 

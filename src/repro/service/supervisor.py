@@ -82,16 +82,25 @@ _FAMILIES = {"xc3000": xc3000, "xc4000": xc4000}
 #: older clients still carry it
 _LEGACY_GRAPH_BACKENDS = ("dict", "flat", "auto")
 
+#: retired values of ``search``, mapped to the one that routes the same:
+#: negotiation went goal-directed under "auto" and ran the plain kernel
+#: under "bidir", and paper mode never depended on the value
+_LEGACY_SEARCH = {"auto": "astar", "bidir": "dijkstra"}
+
 
 def config_from_dict(doc: Dict[str, Any]) -> RouterConfig:
     """Rebuild a :class:`RouterConfig` from its request serialization.
 
-    A legacy ``graph_backend`` key is dropped; any other unknown key
+    A legacy ``graph_backend`` key is dropped and a retired ``search``
+    value is mapped to its equivalent; any other unknown key or value
     is rejected by the constructor.
     """
     kwargs = dict(doc)
     if kwargs.get("graph_backend") in _LEGACY_GRAPH_BACKENDS:
         del kwargs["graph_backend"]
+    search = kwargs.get("search")
+    if isinstance(search, str):
+        kwargs["search"] = _LEGACY_SEARCH.get(search, search)
     nets = kwargs.get("critical_nets")
     if nets is not None:
         kwargs["critical_nets"] = frozenset(nets)

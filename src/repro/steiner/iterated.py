@@ -12,10 +12,9 @@ Implementation notes
 * **Shared shortest paths.**  All ΔH evaluations run against one
   :class:`ShortestPathCache`, realizing the paper's "factoring out of H
   common computations, such as computing shortest-paths".  A round that
-  scans at least ``ShortestPathCache.PAIR_PROMOTE`` candidates first
-  roots one full SSSP at every member of N ∪ S, so each candidate's
-  distances to N ∪ S — and every expansion path rooted at a member —
-  are lookups rather than goal-directed pair searches.
+  scans at least :data:`WARM_CANDIDATES` candidates first roots one
+  full SSSP at every member of N ∪ S, so each candidate's distances to
+  N ∪ S — and every expansion path rooted at a member — are lookups.
 * **Shared closure.**  A heuristic may supply a per-round evaluator
   (:attr:`SteinerHeuristic.round_fn`) that builds the N ∪ S closure
   once and costs each candidate by adding one row to it; KMB does
@@ -69,6 +68,10 @@ TreeFn = Callable[[Graph, Sequence[Node], ShortestPathCache], Graph]
 RoundFn = Callable[
     [Graph, Sequence[Node], ShortestPathCache], Callable[[Node], float]
 ]
+
+#: candidates a ΔH round must scan before it warms one SSSP per member
+#: of N ∪ S up front (smaller scans root trees only as they miss)
+WARM_CANDIDATES = 8
 
 
 @dataclass
@@ -233,7 +236,7 @@ def igmst(
         todo = [t for t in active if t not in chosen_set]
         if not todo:
             break
-        if len(todo) >= ShortestPathCache.PAIR_PROMOTE:
+        if len(todo) >= WARM_CANDIDATES:
             # the scan asks every candidate for its distance to each
             # member; rooting one SSSP per member answers all of them
             cache.warm(terminals + chosen)

@@ -1,12 +1,12 @@
-"""Fixtures for the search-backend differential harness.
+"""Fixtures for the differential harness.
 
-The harness replays the same routing workload under every
-``RouterConfig.search`` backend and asserts the results are
-bit-identical to the plain-Dijkstra reference — same trees, same
-wirelengths, same pass counts, same channel widths.  The fixture
-circuits are deliberately tiny (3×3 / 4×4 arrays) so the full
-``algorithms × backends × engines`` matrix stays fast; the point is
-coverage of every code path, not routing pressure.
+The harness replays routing workloads — every algorithm, engine and
+stored ``RouterConfig.search`` value — and asserts the results are
+bit-identical to the committed goldens: same trees, same wirelengths,
+same pass counts, same channel widths.  The fixture circuits are
+deliberately tiny (3×3 / 4×4 arrays) so the full
+``algorithms × search values × engines`` matrix stays fast; the point
+is coverage of every code path, not routing pressure.
 """
 
 from __future__ import annotations
@@ -17,6 +17,7 @@ from repro.engine import RoutingSession
 from repro.fpga import CircuitSpec, synthesize_circuit, xc3000, xc4000
 from repro.graph.core import edge_key
 from repro.router import RouterConfig
+from repro.service import config_from_dict, config_to_dict
 
 #: enough tracks that the tiny fixtures route in one or two passes
 TINY_XC3000_WIDTH = 6
@@ -82,13 +83,15 @@ def mini_xc3000():
 def route_once(arch, circuit, *, backend, algorithm="ikmb",
                engine="serial", max_passes=6, max_workers=None,
                **cfg_kwargs):
-    """One full routing session under the given search backend."""
-    cfg = RouterConfig(
+    """One full routing session, its config loaded the way a stored
+    request carrying ``search=backend`` is (retired values included)."""
+    doc = config_to_dict(RouterConfig(
         algorithm=algorithm,
-        search=backend,
         max_passes=max_passes,
         **cfg_kwargs,
-    )
+    ))
+    doc["search"] = backend
+    cfg = config_from_dict(doc)
     session = RoutingSession(arch, cfg, engine=engine,
                              max_workers=max_workers)
     return session.route(circuit)

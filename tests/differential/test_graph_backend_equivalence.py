@@ -15,7 +15,9 @@ the CSR core to them.
 ``graph_backend`` is the removed config field that used to pick the
 substrate.  Requests stored before its removal carry it, so every case
 loads its config through the service's request loader with one of the
-field's old values, and must route exactly as the golden.
+field's old values, and must route exactly as the golden.  The search
+matrix crosses it with every ``search`` value a stored request may
+carry, the retired ``"bidir"`` and ``"auto"`` included.
 """
 
 from __future__ import annotations
@@ -27,7 +29,6 @@ import pytest
 
 from repro.engine import RoutingSession
 from repro.fpga import xc3000
-from repro.graph import SEARCH_BACKENDS
 from repro.router import RouterConfig, minimum_channel_width
 from repro.service import config_from_dict, config_to_dict
 
@@ -37,6 +38,9 @@ GOLDEN_DIR = os.path.join(os.path.dirname(__file__), "goldens")
 
 #: old values of the removed field that select the CSR core
 FLAT_BACKENDS = ["flat", "auto"]
+
+#: every ``search`` value a stored request may carry
+STORED_SEARCH = ["dijkstra", "astar", "bidir", "auto"]
 
 
 def golden(name):
@@ -50,18 +54,19 @@ def signature(result):
     return json.loads(json.dumps(result_signature(result)))
 
 
-def legacy_config(graph_backend, **kwargs):
+def legacy_config(graph_backend, search="dijkstra", **kwargs):
     """A config loaded the way a stored request carrying the removed
-    ``graph_backend`` field is."""
+    ``graph_backend`` field and a ``search`` value is."""
     doc = config_to_dict(RouterConfig(**kwargs))
     doc["graph_backend"] = graph_backend
+    doc["search"] = search
     return config_from_dict(doc)
 
 
 def route(arch, circuit, graph_backend, *, search="dijkstra",
           engine="serial", max_workers=None, algorithm="ikmb"):
-    config = legacy_config(graph_backend, algorithm=algorithm,
-                           search=search, max_passes=6)
+    config = legacy_config(graph_backend, search, algorithm=algorithm,
+                           max_passes=6)
     session = RoutingSession(arch, config, engine=engine,
                              max_workers=max_workers)
     return signature(session.route(circuit))
@@ -88,10 +93,10 @@ class TestAlgorithmEquivalence:
 
 
 class TestSearchBackendMatrix:
-    """Goal-directed dispatch (A*, bidirectional) runs on the CSR
-    kernels too and must leave every routed tree unchanged."""
+    """Paper mode never consults ``search``: no stored value may change
+    a routed tree."""
 
-    @pytest.mark.parametrize("search", SEARCH_BACKENDS)
+    @pytest.mark.parametrize("search", STORED_SEARCH)
     def test_search_times_graph_backend(self, tiny_xc3000, search):
         arch, circuit = tiny_xc3000
         got = route(arch, circuit, "flat", search=search, algorithm="pfa")

@@ -18,6 +18,9 @@ it pins the things that *are* deterministic:
 The matrix's ``graph_backend`` axis is a removed config field: requests
 stored before its removal carry ``"dict"`` or ``"flat"``, and each cell
 loads its config through the service's request loader with that key.
+Its ``search`` axis spans the two live values and the two retired ones
+(``"auto"``, ``"bidir"``) that stored requests still carry, loaded the
+same way.
 """
 
 from __future__ import annotations
@@ -49,18 +52,23 @@ NEGO_XC4000_WIDTH = 4
 ENGINES = ("serial", "thread", "process")
 #: values of the removed ``graph_backend`` field in stored requests
 LEGACY_GRAPH_BACKENDS = ("dict", "flat")
-SEARCH_BACKENDS = ("dijkstra", "astar", "bidir")
+#: ``search`` values of stored requests: the live ones and the retired
+#: "bidir" and "auto"
+SEARCH_BACKENDS = ("dijkstra", "astar", "bidir", "auto")
 
 
-def nego_config(graph_backend=None, **kwargs):
-    """A negotiation config; with ``graph_backend``, loaded the way a
-    stored request carrying that legacy key is."""
+def nego_config(graph_backend=None, search=None, **kwargs):
+    """A negotiation config; with ``graph_backend`` or ``search``,
+    loaded the way a stored request carrying those keys is."""
     kwargs.setdefault("mode", "negotiate")
     config = RouterConfig(**kwargs)
-    if graph_backend is None:
+    if graph_backend is None and search is None:
         return config
     doc = config_to_dict(config)
-    doc["graph_backend"] = graph_backend
+    if graph_backend is not None:
+        doc["graph_backend"] = graph_backend
+    if search is not None:
+        doc["search"] = search
     return config_from_dict(doc)
 
 
@@ -103,7 +111,7 @@ def assert_certified(result, circuit, arch, cfg):
 
 
 # ----------------------------------------------------------------------
-# the execution matrix: every engine x legacy request key x search backend
+# the execution matrix: every engine x legacy request key x search key
 # ----------------------------------------------------------------------
 class TestNegotiationMatrix:
     @pytest.mark.parametrize("search", SEARCH_BACKENDS)

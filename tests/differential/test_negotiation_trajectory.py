@@ -14,9 +14,17 @@ iteration it touches:
 * every converged route's edges, in route order, and its optimal
   source→sink pathlengths.
 
-Cases: both tiny fixtures × {wirelength, timing} on the serial engine,
-plus one chunked run on the thread engine with two workers.
+Cases: both tiny fixtures × {wirelength, timing} on the serial engine
+under the default A* search, the tiny XC3000 wirelength route under
+plain Dijkstra (so both kernels' per-pass heap pops and relaxations are
+pinned), plus one chunked run on the thread engine with two workers.
 Regenerate deliberately with ``--update-goldens``.
+
+``auto`` and ``bidir`` are retired ``search`` values that stored
+requests still carry.  Loaded through the service's request loader,
+each must replay the trajectory of the backend it ran as: negotiation
+went goal-directed under ``auto`` and ran the plain kernel under
+``bidir``.
 """
 
 from __future__ import annotations
@@ -29,12 +37,16 @@ import pytest
 from repro.engine import RoutingSession
 from repro.fpga import xc3000, xc4000
 from repro.router import RouterConfig
+from repro.service import config_from_dict, config_to_dict
 
 GOLDEN_DIR = os.path.join(os.path.dirname(__file__), "goldens")
 
 #: golden id -> (fixture, family, width, config kwargs, engine)
 TRAJECTORY_CASES = {
     "nego_trajectory_tiny_xc3000": ("tiny_xc3000", xc3000, 3, {}, "serial"),
+    "nego_trajectory_tiny_xc3000_dijkstra": (
+        "tiny_xc3000", xc3000, 3, {"search": "dijkstra"}, "serial",
+    ),
     "nego_trajectory_tiny_xc3000_timing": (
         "tiny_xc3000", xc3000, 3, {"timing": True}, "serial",
     ),
@@ -66,17 +78,28 @@ def trajectory(session, result):
     return json.loads(json.dumps({"passes": passes, "routes": routes}))
 
 
-@pytest.mark.parametrize("golden_id", sorted(TRAJECTORY_CASES))
-def test_trajectory_golden(request, update_goldens, golden_id):
-    fixture, family, width, cfg_kwargs, engine = TRAJECTORY_CASES[golden_id]
+def route_trajectory(request, golden_id, cfg):
+    fixture, family, width, _, engine = TRAJECTORY_CASES[golden_id]
     _, circuit = request.getfixturevalue(fixture)
     arch = family(circuit.rows, circuit.cols, width)
-    cfg = RouterConfig(mode="negotiate", **cfg_kwargs)
     workers = 2 if engine != "serial" else None
     with RoutingSession(arch, cfg, engine=engine,
                         max_workers=workers) as session:
         result = session.route(circuit)
-    got = trajectory(session, result)
+    return trajectory(session, result)
+
+
+def load_golden(golden_id):
+    path = os.path.join(GOLDEN_DIR, f"{golden_id}.json")
+    with open(path, "r", encoding="utf-8") as fh:
+        return json.load(fh)
+
+
+@pytest.mark.parametrize("golden_id", sorted(TRAJECTORY_CASES))
+def test_trajectory_golden(request, update_goldens, golden_id):
+    cfg_kwargs = TRAJECTORY_CASES[golden_id][3]
+    cfg = RouterConfig(mode="negotiate", **cfg_kwargs)
+    got = route_trajectory(request, golden_id, cfg)
     assert len(got["passes"]) > 1  # the case really negotiates
     path = os.path.join(GOLDEN_DIR, f"{golden_id}.json")
     if update_goldens:
@@ -90,11 +113,26 @@ def test_trajectory_golden(request, update_goldens, golden_id):
             f"golden file {path} missing - generate it with "
             f"`pytest {__file__} --update-goldens` and commit it"
         )
-    with open(path, "r", encoding="utf-8") as fh:
-        golden = json.load(fh)
+    golden = load_golden(golden_id)
     assert got["passes"] == golden["passes"], (
         f"negotiation trajectory diverged from {path}"
     )
     assert got["routes"] == golden["routes"], (
         f"converged routes diverged from {path}"
     )
+
+
+@pytest.mark.parametrize(
+    "search,golden_id",
+    [
+        ("auto", "nego_trajectory_tiny_xc3000"),
+        ("astar", "nego_trajectory_tiny_xc3000"),
+        ("bidir", "nego_trajectory_tiny_xc3000_dijkstra"),
+        ("dijkstra", "nego_trajectory_tiny_xc3000_dijkstra"),
+    ],
+)
+def test_stored_search_key_replays_trajectory(request, search, golden_id):
+    doc = config_to_dict(RouterConfig(mode="negotiate"))
+    doc["search"] = search
+    got = route_trajectory(request, golden_id, config_from_dict(doc))
+    assert got == load_golden(golden_id)

@@ -464,27 +464,13 @@ class TestEngineCLI:
         assert "engine=thread" in out
         assert load_trace(str(trace))["engine"] == "thread"
 
-    def test_hidden_legacy_flags_still_accepted(self, capsys, tmp_path):
-        from repro.cli import main
+    def test_removed_legacy_flags_rejected(self):
+        from repro.cli import _build_parser
 
-        trace = tmp_path / "legacy.json"
-        assert main([
-            "route", "term1", "--fraction", "0.15",
-            "--algorithm", "kmb", "--max-passes", "4",
-            "--trace-file", str(trace),
-        ]) == 0
-        doc = load_trace(str(trace))
-        assert doc["config"]["max_passes"] == 4
-
-    def test_legacy_flags_hidden_from_help(self, capsys):
-        from repro.cli import main
-
-        with pytest.raises(SystemExit):
-            main(["route", "--help"])
-        out = capsys.readouterr().out
-        assert "--passes" in out and "--trace" in out
-        assert "--max-passes" not in out
-        assert "--trace-file" not in out
+        parser = _build_parser()
+        for flag, value in (("--max-passes", "4"), ("--trace-file", "t.json")):
+            with pytest.raises(SystemExit):
+                parser.parse_args(["route", "busc", flag, value])
 
     def test_report_consumes_trace(self, capsys, tmp_path):
         from repro.analysis.report import render_trace

@@ -21,7 +21,6 @@ from repro.graph import (
     FlatGraph,
     Graph,
     GraphView,
-    SearchPolicy,
     ShortestPathCache,
     grid_graph,
 )
@@ -71,7 +70,7 @@ class TestResolveBackend:
 def test_small_graphs_search_on_csr():
     """No size threshold: a cache on a four-node graph freezes it."""
     g = small_graph()
-    cache = ShortestPathCache(g, search=SearchPolicy("dijkstra"))
+    cache = ShortestPathCache(g)
     dist, _ = cache.sssp("a")
     assert dist["c"] == 3.0
     assert g._frozen is not None and g._frozen.fresh(g)
@@ -192,20 +191,3 @@ def test_cli_graph_backend_flag():
     with pytest.raises(SystemExit):
         parser.parse_args(["route", "busc", "--graph-backend", "flat"])
 
-
-def test_cli_legacy_aliases_warn():
-    from repro.cli import _build_parser
-
-    parser = _build_parser()
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        args = parser.parse_args(
-            ["route", "busc", "--max-passes", "4", "--trace-file", "t.json"]
-        )
-    assert args.passes == 4 and args.trace == "t.json"
-    messages = [
-        str(w.message) for w in caught
-        if issubclass(w.category, DeprecationWarning)
-    ]
-    assert any("--passes" in m for m in messages)
-    assert any("--trace" in m for m in messages)

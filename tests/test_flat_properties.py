@@ -5,11 +5,12 @@ Three families of properties:
 * **Round-trip fidelity** — ``Graph.freeze()`` / ``FlatGraph.thaw()``
   preserve every node, every edge, every weight, *and* the adjacency
   iteration order the dict kernels depend on.
-* **Kernel bit-identity** — the flat Dijkstra / A* / bidirectional
-  kernels reproduce the dict-adjacency reference kernels
-  (``tests/reference_kernels.py``) exactly: same distances, same
-  predecessors, same dict iteration order, for arbitrary random graphs,
-  endpoints, cutoffs and target sets.
+* **Kernel bit-identity** — the flat Dijkstra kernel reproduces the
+  dict-adjacency reference kernels (``tests/reference_kernels.py``)
+  exactly: same distances, same predecessors, same dict iteration
+  order, for arbitrary random graphs, endpoints, cutoffs and target
+  sets; and negotiated A* through the vectorized Manhattan table
+  replays the same search with the bound evaluated node by node.
 * **Invalidation** — mutating a graph (including the router's
   uncommit path) invalidates its memoized view, and the re-frozen view
   reflects the mutation while staying bit-identical to dict search.
@@ -33,12 +34,9 @@ from repro.graph import (
     random_connected_graph,
 )
 
-from .reference_kernels import (
-    astar,
-    bidirectional_dijkstra,
-    dijkstra,
-    multi_target_dijkstra,
-)
+from repro.graph.flat import flat_negotiated_search
+
+from .reference_kernels import dijkstra, multi_target_dijkstra
 
 try:
     from hypothesis import given, settings, strategies as st
@@ -159,20 +157,22 @@ def test_flat_cutoff_bit_identical(seed, n, extra):
 
 
 @property_case
-def test_flat_bidirectional_bit_identical(seed, n, extra):
-    g, u, v = make_graph(seed, n, extra)
-    ref = bidirectional_dijkstra(g, u, v)
-    got = g.freeze().bidirectional(u, v)
-    assert got == ref
-
-
-@property_case
 def test_flat_manhattan_astar_bit_identical(seed, n, extra):
+    """The memoized per-id Manhattan table gives negotiated A* the
+    bit-identical ``f`` keys of the scalar bound."""
     g, u, v = make_weighted_grid(seed, n, extra)
     h = manhattan_heuristic(g, v)
     assert h is not None
-    ref_dist, ref_pred = astar(g, u, v, h)
-    dist, pred = g.freeze().astar(u, v, h)
+    flat = g.freeze().flat
+    unit = [1.0] * len(flat.nodes)
+
+    def scalar(node):  # no Manhattan key: evaluated node by node
+        return h(node)
+
+    ref_dist, ref_pred = flat_negotiated_search(
+        flat, [u], v, unit, heuristic=scalar
+    )
+    dist, pred = flat_negotiated_search(flat, [u], v, unit, heuristic=h)
     assert list(dist.items()) == list(ref_dist.items())
     assert list(pred.items()) == list(ref_pred.items())
 

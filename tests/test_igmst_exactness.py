@@ -23,7 +23,6 @@ from repro.errors import DisconnectedError
 from repro.graph import (
     DistanceGraph,
     Graph,
-    SearchPolicy,
     ShortestPathCache,
     dense_mst,
     grid_graph,
@@ -51,9 +50,9 @@ try:
 except ImportError:  # pragma: no cover - exercised on minimal installs
     HAVE_HYPOTHESIS = False
 
-#: search backends, None for a policy-free cache; each runs on the CSR
-#: kernels and is checked against the dict reference kernels
-POLICIES = [None, "dijkstra", "astar", "auto"]
+#: the cache's two path rules (``source_rooted``); each runs on the
+#: CSR kernels and is checked against the dict reference kernels
+PATH_RULES = [False, True]
 
 #: the built-in heuristics, all of which meet the early-exit condition
 EVERY_HEURISTIC = pytest.mark.parametrize(
@@ -102,10 +101,8 @@ def reference_kmb_tree_graph(graph, terminals, cache=None):
     return tree
 
 
-def make_cache(graph, backend):
-    if backend is None:
-        return ShortestPathCache(graph)
-    return ShortestPathCache(graph, search=SearchPolicy(backend))
+def make_cache(graph, source_rooted):
+    return ShortestPathCache(graph, source_rooted=source_rooted)
 
 
 def make_instance(seed, grid):
@@ -132,34 +129,34 @@ def layout(tree):
 @property_case
 def test_round_evaluator_equals_reference_kmb_cost(seed, grid, warm):
     graph, members, candidates = make_instance(seed, grid)
-    for backend in POLICIES:
-        cache = make_cache(graph, backend)
+    for rule in PATH_RULES:
+        cache = make_cache(graph, rule)
         if warm:
             cache.warm(members)
         cost = KMB_HEURISTIC.round_fn(graph, members, cache)
         # a member re-offered as candidate is deduplicated, like KMB does
         for t in candidates + [members[-1]]:
-            ref_cache = reference_cache(graph, backend)
+            ref_cache = reference_cache(graph, rule)
             expected = reference_kmb_tree_graph(
                 graph, members + [t], ref_cache
             ).total_weight()
-            assert cost(t) == expected, (backend, t)
+            assert cost(t) == expected, (rule, t)
 
 
 @property_case
 def test_kmb_tree_graph_equals_reference_layout(seed, grid, warm):
     graph, members, candidates = make_instance(seed, grid)
     terminals = members + candidates[:1]
-    for backend in POLICIES:
-        cache = make_cache(graph, backend)
+    for rule in PATH_RULES:
+        cache = make_cache(graph, rule)
         if warm:
             cache.warm(members)
         tree = kmb_tree_graph(graph, terminals, cache)
-        ref_cache = reference_cache(graph, backend)
+        ref_cache = reference_cache(graph, rule)
         if warm:
             ref_cache.warm(members)
         expected = reference_kmb_tree_graph(graph, terminals, ref_cache)
-        assert layout(tree) == layout(expected), backend
+        assert layout(tree) == layout(expected), rule
         assert kmb_cost(graph, terminals, cache) == expected.total_weight()
 
 

@@ -1,16 +1,16 @@
-"""Property-based guarantees for the goal-directed search kernels.
+"""Property-based guarantees for the search kernels.
 
 Two families of properties:
 
-* **Exactness** — every kernel of the package (A* under Manhattan or
-  ALT bounds, bidirectional Dijkstra, early-exit Dijkstra, all on the
-  CSR view) reports the distance of the dict-adjacency reference
+* **Exactness** — every kernel of the package (negotiated A* under the
+  Manhattan bound, either negotiated backend, early-exit Dijkstra, all
+  on the CSR view) reports the distance of the dict-adjacency reference
   Dijkstra (``tests/reference_kernels.py``) for arbitrary random graphs
-  and endpoint pairs.
-* **Heuristic soundness** — the Manhattan and landmark bounds are
-  admissible (``h(v) ≤ d(v, t)``) and consistent
-  (``h(u) ≤ w(u, v) + h(v)``), which is the precondition the exactness
-  contract rests on.
+  and endpoint pairs.  Negotiated searches run under unit factors, which
+  make the negotiated cost the base edge weight exactly.
+* **Heuristic soundness** — the Manhattan bound is admissible
+  (``h(v) ≤ d(v, t)``) and consistent (``h(u) ≤ w(u, v) + h(v)``),
+  which is the precondition the exactness contract rests on.
 
 Runs under `hypothesis` when it is installed; otherwise the same
 property checks execute over a vendored corpus of seeds, so the suite
@@ -24,17 +24,17 @@ import random
 import pytest
 
 from repro.graph import (
-    LandmarkIndex,
     SEARCH_BACKENDS,
     SearchPolicy,
     dijkstra,
     grid_graph,
     lattice_scale,
     manhattan_heuristic,
-    path_cost,
     random_connected_graph,
     reconstruct_path,
 )
+from repro.graph.flat import flat_negotiated_search
+from repro.router.negotiation import FrozenFactorProvider
 
 from .reference_kernels import dijkstra as reference_dijkstra
 
@@ -45,14 +45,18 @@ try:
 except ImportError:  # pragma: no cover - exercised on minimal installs
     HAVE_HYPOTHESIS = False
 
+#: every negotiated factor 1: the negotiated cost of an edge is then its
+#: base weight, bit for bit
+UNIT_FACTORS = FrozenFactorProvider({})
+
+
 def astar(graph, source, target, heuristic):
-    """The package's A*: the CSR kernel on ``graph.freeze()``."""
-    return graph.freeze().astar(source, target, heuristic)
-
-
-def bidirectional_dijkstra(graph, source, target):
-    """The package's two-frontier search on ``graph.freeze()``."""
-    return graph.freeze().bidirectional(source, target)
+    """The package's A*: the negotiated kernel under unit factors."""
+    flat = graph.freeze().flat
+    return flat_negotiated_search(
+        flat, [source], target, UNIT_FACTORS.factor_table(flat),
+        heuristic=heuristic,
+    )
 
 
 def multi_target_dijkstra(graph, source, targets):
@@ -110,29 +114,6 @@ def make_weighted_grid(seed, n, extra):
 
 
 @property_case
-def test_bidirectional_distance_matches_dijkstra(seed, n, extra):
-    g, u, v = make_graph(seed, n, extra)
-    ref, _ = reference_dijkstra(g, u)
-    d, path = bidirectional_dijkstra(g, u, v)
-    # exact up to the last ulp: the two searches may settle on distinct
-    # equal-cost shortest paths whose float sums differ by one rounding
-    assert d == pytest.approx(ref.get(v, float("inf")), rel=1e-12)
-    if path is not None:
-        assert path[0] == u and path[-1] == v
-        # the reported distance IS the forward-order sum along the path
-        assert path_cost(g, path) == d
-
-
-@property_case
-def test_alt_astar_distance_matches_dijkstra(seed, n, extra):
-    g, u, v = make_graph(seed, n, extra)
-    idx = LandmarkIndex(g, k=min(3, g.num_nodes))
-    ref, _ = reference_dijkstra(g, u)
-    dist, _ = astar(g, u, v, idx.heuristic(v))
-    assert dist.get(v, float("inf")) == ref.get(v, float("inf"))
-
-
-@property_case
 def test_manhattan_astar_distance_matches_dijkstra(seed, n, extra):
     g, u, v = make_weighted_grid(seed, n, extra)
     h = manhattan_heuristic(g, v)
@@ -160,15 +141,15 @@ def test_early_exit_prefix_is_bit_identical(seed, n, extra):
 
 @property_case
 def test_policy_backends_agree(seed, n, extra):
-    g, u, v = make_graph(seed, n, extra)
-    ref, _ = reference_dijkstra(g, u)
-    expected = ref.get(v, float("inf"))
-    for backend in SEARCH_BACKENDS:
-        got = SearchPolicy(backend).pair_distance(g, u, v)
-        # general graphs have no lattice bound, so astar/auto/bidir all
-        # route through the bidirectional kernel — last-ulp tolerance
-        # for ties, as above
-        assert got == pytest.approx(expected, rel=1e-12)
+    for make in (make_graph, make_weighted_grid):
+        g, u, v = make(seed, n, extra)
+        ref, _ = reference_dijkstra(g, u)
+        flat = g.freeze().flat
+        for backend in SEARCH_BACKENDS:
+            dist, _ = SearchPolicy(backend).negotiated_search(
+                flat, [u], v, UNIT_FACTORS
+            )
+            assert dist.get(v, float("inf")) == ref[v]
 
 
 @property_case
@@ -178,19 +159,6 @@ def test_manhattan_heuristic_admissible_and_consistent(seed, n, extra):
     assert scale is not None and scale > 0
     h = manhattan_heuristic(g, v, scale=scale)
     ref, _ = reference_dijkstra(g, v)  # undirected: d(x, v) == d(v, x)
-    for node in g.nodes:
-        assert h(node) <= ref.get(node, float("inf")) + 1e-9
-    for a, b, w in g.edges():
-        assert h(a) <= w + h(b) + 1e-9
-        assert h(b) <= w + h(a) + 1e-9
-
-
-@property_case
-def test_landmark_heuristic_admissible_and_consistent(seed, n, extra):
-    g, u, v = make_graph(seed, n, extra)
-    idx = LandmarkIndex(g, k=min(4, g.num_nodes))
-    h = idx.heuristic(v)
-    ref, _ = reference_dijkstra(g, v)
     for node in g.nodes:
         assert h(node) <= ref.get(node, float("inf")) + 1e-9
     for a, b, w in g.edges():

@@ -20,7 +20,7 @@ import time
 import pytest
 
 from repro.cli import main as cli_main
-from repro.engine import RetryPolicy
+from repro.engine import RetryPolicy, RoutingSession
 from repro.engine.faults import FaultPlan, SimulatedCrash
 from repro.errors import (
     AdmissionError,
@@ -29,7 +29,13 @@ from repro.errors import (
     ServiceError,
     ValidationError,
 )
-from repro.fpga import circuit_spec, scaled_spec, synthesize_circuit, xc3000
+from repro.fpga import (
+    CircuitSpec,
+    circuit_spec,
+    scaled_spec,
+    synthesize_circuit,
+    xc3000,
+)
 from repro.fpga.netlist import PlacedCircuit, PlacedNet
 from repro.io import result_to_dict
 from repro.router import RouterConfig
@@ -48,6 +54,20 @@ from repro.service import (
 from repro.validate import verify_result
 
 KMB = RouterConfig(algorithm="kmb")
+
+#: the differential harness's tiny XC3000 circuit: at W=3 it negotiates
+#: for several passes, and A* and plain Dijkstra route it to different
+#: trees (wirelength 62.6 against 63.5)
+NEGOTIATE_SPEC = CircuitSpec(
+    name="diff-tiny3k",
+    family="xc3000",
+    cols=4,
+    rows=4,
+    nets_2_3=8,
+    nets_4_10=3,
+    nets_over_10=1,
+    published={},
+)
 
 #: every named crash point in the durable write path
 FAULT_POINTS = (
@@ -307,13 +327,15 @@ class TestAdmission:
 # stores written before RouterConfig.graph_backend was removed
 # ----------------------------------------------------------------------
 class TestLegacyStore:
-    """Every ``request.json`` the older version wrote carries the
-    removed ``graph_backend`` field (``config_to_dict`` serializes every
-    config field); such a store must keep serving after an upgrade."""
+    """Every ``request.json`` an older version wrote carries the
+    removed ``graph_backend`` field and a ``search`` value that may be
+    retired (``config_to_dict`` serializes every config field); such a
+    store must keep serving after an upgrade."""
 
     def _legacy_store(self, root, circuit):
         """Two finished jobs and one queued job, each request carrying
-        one of the field's three old values."""
+        one of ``graph_backend``'s three old values and one of the
+        retired ``search`` values."""
         service = RoutingService(str(root))
         done_kmb = service.submit(circuit, config=KMB, width=3)
         done_ikmb = service.submit(
@@ -321,13 +343,16 @@ class TestLegacyStore:
         )
         assert service.run_until_idle() == 2
         queued = service.submit(circuit, config=KMB, width=4)
-        for record, value in (
-            (done_kmb, "auto"), (done_ikmb, "dict"), (queued, "flat"),
+        for record, value, search in (
+            (done_kmb, "auto", "auto"),
+            (done_ikmb, "dict", "bidir"),
+            (queued, "flat", "bidir"),
         ):
             path = service.store.request_path(record.job_id)
             with open(path, encoding="utf-8") as fh:
                 request = json.load(fh)
             request["config"]["graph_backend"] = value
+            request["config"]["search"] = search
             with open(path, "w", encoding="utf-8") as fh:
                 json.dump(request, fh)
         return done_kmb.job_id, done_ikmb.job_id, queued.job_id
@@ -577,6 +602,43 @@ class TestDedupe:
             small_circuit, KMB, family="xc3000", width=4, w_max=40
         )
         assert base != other_width
+
+    def test_paper_mode_fingerprint_is_unchanged(self, small_circuit):
+        # recorded before negotiate-mode requests bound `search`: stores
+        # written then keep deduping paper-mode resubmissions
+        assert request_fingerprint(
+            small_circuit, KMB, family="xc3000", width=3, w_max=40
+        ) == "a6d7a3ccd9fc257cb72d1b97a891221b6a024ee396a7b078b14ddb8894d486bc"
+
+    def test_search_binds_negotiate_mode_dedupe(self, tmp_path):
+        circuit = synthesize_circuit(NEGOTIATE_SPEC, seed=3)
+        arch = xc3000(circuit.rows, circuit.cols, 3)
+        astar = RouterConfig(mode="negotiate", search="astar")
+        dijkstra = RouterConfig(mode="negotiate", search="dijkstra")
+        direct = {
+            cfg.search: RoutingSession(arch, cfg).route(circuit)
+            for cfg in (astar, dijkstra)
+        }
+        # the two searches negotiate different trees, so one shared
+        # answer would be wrong for one of them
+        assert [_edge_set(r) for r in direct["astar"].routes] != [
+            _edge_set(r) for r in direct["dijkstra"].routes
+        ]
+        service = RoutingService(str(tmp_path))
+        first = service.submit(circuit, config=astar, width=3)
+        assert service.run_until_idle() == 1
+        other = service.submit(circuit, config=dijkstra, width=3)
+        assert other.state == "queued" and other.deduped_from is None
+        assert service.run_until_idle() == 1
+        assert service.status(other.job_id)["state"] == "done"
+        _assert_routes_identical(
+            service.result(other.job_id), direct["dijkstra"]
+        )
+        _assert_routes_identical(
+            service.result(first.job_id), direct["astar"]
+        )
+        again = service.submit(circuit, config=astar, width=3)
+        assert again.state == "done" and again.deduped_from == first.job_id
 
     def test_queued_duplicate_adopts_result_at_claim(
         self, small_circuit, tmp_path, reference
