@@ -13,7 +13,7 @@ import pytest
 
 from repro.analysis.tables import render_table
 from repro.fpga import circuit_spec, scaled_spec, synthesize_circuit, xc4000
-from repro.router import FPGARouter, RouterConfig, minimum_channel_width
+from repro.router import RouterConfig, minimum_channel_width
 from .conftest import circuit_fraction, full_scale, record
 
 

@@ -14,7 +14,8 @@ from __future__ import annotations
 
 from repro.analysis.tables import render_table
 from repro.fpga import circuit_spec, scaled_spec, synthesize_circuit, xc4000
-from repro.router import FPGARouter, RouterConfig, minimum_channel_width
+from repro.engine import RoutingSession
+from repro.router import RouterConfig, minimum_channel_width
 
 
 def main() -> None:
@@ -41,7 +42,7 @@ def main() -> None:
     results = {}
     for algo in algorithms:
         arch = xc4000(circuit.rows, circuit.cols, width)
-        results[algo] = FPGARouter(
+        results[algo] = RoutingSession(
             arch, config.with_algorithm(algo)
         ).route(circuit)
 

@@ -43,7 +43,6 @@ from ..net import Net
 from ..router.channel_width import minimum_channel_width
 from ..router.config import RouterConfig
 from ..router.result import RoutingResult
-from ..router.router import FPGARouter
 from ..steiner import (
     ikmb,
     izel,
@@ -395,6 +394,8 @@ def run_table5(
     signal in congestion-forced detours — a small headroom restores
     the comparison the paper's Table 5 makes (see EXPERIMENTS.md).
     """
+    from ..engine import RoutingSession  # lazy: avoids an import cycle
+
     base = config or RouterConfig()
     result = Table5Result()
     for spec in specs:
@@ -412,7 +413,7 @@ def run_table5(
         arch = family_builder(circuit.rows, circuit.cols, width)
         results: Dict[str, RoutingResult] = {}
         for algo in all_algos:
-            results[algo] = FPGARouter(
+            results[algo] = RoutingSession(
                 arch, base.with_algorithm(algo)
             ).route(circuit)
         pristine = _pristine_max_paths(circuit, arch)

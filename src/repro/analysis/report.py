@@ -35,7 +35,7 @@ def _section(title: str, body: str) -> str:
 def render_trace(doc: dict) -> str:
     """Render a routing-engine trace document as a markdown section body.
 
-    ``doc`` is a loaded ``repro.engine/trace-v1`` document (see
+    ``doc`` is a loaded ``repro.engine/trace-v4`` document (see
     :func:`repro.engine.load_trace`): header line, one row per pass,
     and the aggregate totals.
     """

@@ -239,8 +239,3 @@ def greedy_set_cover(
         chosen.append(best_name)
         remaining -= sets[best_name]
     return chosen
-
-
-def setcover_log_bound(levels: int) -> float:
-    """The Ω(log N) lower-bound value the figure argues for."""
-    return float(levels)

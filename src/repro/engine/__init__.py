@@ -24,11 +24,10 @@ arXiv:2407.00009):
 * :mod:`repro.engine.faults` — the scripted fault-injection harness
   (``REPRO_FAULTS``) the resilience tests and CI smoke job drive.
 
-``engine="serial"`` is the default and is bit-identical to the seed
-``FPGARouter.route`` path; the parallel engines route each batch
-speculatively against a snapshot and fall back to serial re-routing on
-resource conflicts, so every result is always a valid (electrically
-disjoint) routing.
+``engine="serial"`` is the default and the reference loop; the
+parallel engines route each batch speculatively against a snapshot and
+fall back to serial re-routing on resource conflicts, so every result
+is always a valid (electrically disjoint) routing.
 """
 
 from .batching import (
@@ -51,7 +50,6 @@ from .executors import (
 )
 from .faults import FaultInjected, FaultPlan, SimulatedCrash, service_crash
 from .instrumentation import (
-    ACCEPTED_TRACE_SCHEMAS,
     TRACE_SCHEMA,
     congestion_histogram,
     load_trace,
@@ -72,7 +70,6 @@ __all__ = [
     "regions_overlap",
     "TraceRecorder",
     "TRACE_SCHEMA",
-    "ACCEPTED_TRACE_SCHEMAS",
     "congestion_histogram",
     "load_trace",
     "CHECKPOINT_SCHEMA",

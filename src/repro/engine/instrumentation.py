@@ -23,21 +23,9 @@ from typing import (
 
 from ..fpga.routing_graph import GroupKey, RoutingResourceGraph
 
-#: current trace document schema identifier
+#: trace document schema identifier, the only one :func:`load_trace`
+#: accepts
 TRACE_SCHEMA = "repro.engine/trace-v4"
-
-#: schemas :func:`load_trace` accepts (v2 added events/retries/resume
-#: fields without changing any v1 field; v3 added the optional per-pass
-#: ``verify`` block, the ``verify`` config field and the verify/repair/
-#: quarantine event types; v4 added the optional per-pass
-#: ``negotiation`` block plus the ``mode``/``timing`` config fields for
-#: PathFinder runs — all additive, so older documents still render)
-ACCEPTED_TRACE_SCHEMAS = (
-    "repro.engine/trace-v1",
-    "repro.engine/trace-v2",
-    "repro.engine/trace-v3",
-    TRACE_SCHEMA,
-)
 
 #: channel-utilization histogram bucket count (utilization ∈ [0, 1])
 HISTOGRAM_BINS = 10
@@ -302,16 +290,20 @@ class TraceRecorder:
 
 
 def load_trace(source: Union[str, IO[str]]) -> Dict[str, object]:
-    """Load and sanity-check a trace document written by ``write``."""
+    """Load and sanity-check a trace document written by ``write``.
+
+    Raises :class:`ValueError` unless the file holds a JSON object whose
+    ``schema`` is :data:`TRACE_SCHEMA`.
+    """
     if hasattr(source, "read"):
         doc = json.load(source)
     else:
         with open(source, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
-    schema = doc.get("schema")
-    if schema not in ACCEPTED_TRACE_SCHEMAS:
+    schema = doc.get("schema") if isinstance(doc, dict) else None
+    if schema != TRACE_SCHEMA:
         raise ValueError(
             f"not an engine trace (schema {schema!r}, "
-            f"expected one of {ACCEPTED_TRACE_SCHEMAS!r})"
+            f"expected {TRACE_SCHEMA!r})"
         )
     return doc

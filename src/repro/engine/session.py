@@ -1,18 +1,18 @@
 """The routing session: batched, instrumented move-to-front routing.
 
-:class:`RoutingSession` is the engine's front door.  It reproduces the
-seed router's negotiation loop exactly — same net ordering, same
-move-to-front re-queueing, same stall detection, same pass budget — and
-adds, around that loop:
+:class:`RoutingSession` is the engine's front door.  It runs the
+paper's move-to-front loop, the only one in the package — net ordering,
+move-to-front re-queueing, stall detection, pass budget — with
+:class:`~repro.router.router.FPGARouter` routing each net, and adds,
+around that loop:
 
 * **batching** — each pass's queue is split into congestion-independent
   batches (:mod:`repro.engine.batching`);
 * **pluggable execution** — ``serial`` routes nets one at a time (the
-  reference semantics, bit-identical to ``FPGARouter.route``);
-  ``thread`` / ``process`` route each multi-net batch *speculatively*
-  against per-net snapshots of the routing graph, then commit results
-  in queue order, re-routing serially whenever a speculative route
-  conflicts with resources another net just consumed;
+  reference loop); ``thread`` / ``process`` route each multi-net batch
+  *speculatively* against per-net snapshots of the routing graph, then
+  commit results in queue order, re-routing serially whenever a
+  speculative route conflicts with resources another net just consumed;
 * **fault tolerance** — crashed tasks are retried with bounded,
   deterministic backoff (:mod:`repro.engine.retry`); a broken worker
   pool is rebuilt once and then degraded ``process → thread → serial``
@@ -111,8 +111,8 @@ class RoutingSession:
     config:
         Router configuration; defaults to :class:`RouterConfig`.
     engine:
-        ``"serial"`` (default), ``"thread"`` or ``"process"``.  Serial
-        is bit-identical to the seed ``FPGARouter.route`` path.
+        ``"serial"`` (default), ``"thread"`` or ``"process"``.  The
+        serial engine is the reference loop.
     max_workers:
         Pool size for the parallel engines (default: a small multiple
         of the CPU count).
@@ -194,9 +194,9 @@ class RoutingSession:
         """Route every net of ``circuit``; :class:`UnroutableError` when
         the move-to-front pass budget is exhausted.
 
-        The negotiation schedule is the seed router's: every pass
-        restarts from a pristine graph with failed nets moved to the
-        front, and three consecutive non-improving passes abort early.
+        The move-to-front schedule: every pass restarts from a
+        pristine graph with failed nets moved to the front, and three
+        consecutive non-improving passes abort early.
 
         ``checkpoint`` names a file to (re)write after every committed
         pass — it is removed again on successful completion, so a file
@@ -352,7 +352,7 @@ class RoutingSession:
         )
 
     # ------------------------------------------------------------------
-    # the negotiation loop (seed-identical schedule)
+    # the move-to-front loop
     # ------------------------------------------------------------------
     def _negotiate(
         self,

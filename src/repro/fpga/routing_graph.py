@@ -354,14 +354,6 @@ class RoutingResourceGraph:
             if self.graph.has_node(pn):
                 self.graph.remove_node(pn)
 
-    def freeze(self) -> "GraphView":  # noqa: F821 - forward ref
-        """The live graph's frozen CSR view (``self.graph.freeze()``).
-
-        Memoized per graph version: any commit, uncommit, reweight or
-        pin attach/detach transparently invalidates it.
-        """
-        return self.graph.freeze()
-
     def device_snapshot(self) -> "FlatGraph":  # noqa: F821
         """The whole device as one frozen snapshot, for PathFinder.
 

@@ -59,9 +59,6 @@ class _PinAllocator:
             for y in range(rows)
         }
 
-    def capacity_left(self) -> int:
-        return sum(len(v) for v in self._free.values())
-
     def _ring(self, cx: int, cy: int, radius: int) -> List[Tuple[int, int]]:
         """Blocks at Chebyshev distance ``radius`` from the center."""
         if radius == 0:

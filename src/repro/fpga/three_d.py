@@ -85,9 +85,9 @@ class RoutingResourceGraph3D:
     Wraps per-layer :class:`RoutingResourceGraph` instances into one
     merged :class:`Graph` with via edges, re-exposing the same router
     protocol (``attach_pins`` / ``detach_all_pins`` / ``commit`` /
-    ``base_weight`` / ``reset``) so :class:`repro.router.FPGARouter`'s
+    ``base_weight`` / ``reset``) so the 2-D router's per-net
     machinery can be reused manually or through
-    :func:`route_circuit_3d`.
+    :func:`route_nets_3d`.
     """
 
     def __init__(self, arch: Architecture3D):

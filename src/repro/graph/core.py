@@ -99,13 +99,6 @@ class Graph:
         """
         self._version_hooks.append(hook)
 
-    def remove_version_hook(self, hook: Callable[[int], None]) -> None:
-        """Unregister a previously added hook (no-op if absent)."""
-        try:
-            self._version_hooks.remove(hook)
-        except ValueError:
-            pass
-
     def _touch(self, u: Node, v: Node) -> None:
         """Record ``u``/``v`` in the refreeze delta (rows changed)."""
         dirty = self._dirty

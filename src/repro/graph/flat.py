@@ -450,10 +450,6 @@ class FlatGraph:
             ]
         return self._rows
 
-    def neighbor_ids(self, i: int) -> Iterator[Tuple[int, float]]:
-        """``(neighbor id, weight)`` pairs of node id ``i``."""
-        return iter(self.rows()[i])
-
     def edge_weight(self, u: Node, v: Node) -> float:
         """Weight of edge ``{u, v}``; raises if absent."""
         ui = self.node_id(u)

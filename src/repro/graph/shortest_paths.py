@@ -15,13 +15,14 @@ every Dijkstra run: install a :class:`DijkstraCounters` with
 edge relaxations there.  The cache keeps its own hit/miss/invalidation
 tallies (:meth:`ShortestPathCache.stats`).
 
-Partial runs.  ``targets``/``cutoff``-limited searches settle only a
-subset of the graph, so their ``dist`` maps are *not* valid single-source
-results: a node absent from a partial map may still be reachable.  The
-cache therefore stores limited runs under a distinct key that includes
-the limits (:meth:`ShortestPathCache.sssp_limited`) and never lets them
-satisfy full-query lookups; the reverse direction — answering a limited
-query from a cached *full* run — is always sound and is done eagerly.
+Partial runs.  A source-rooted cache answers
+:meth:`ShortestPathCache.path` with an early-exit run that stops at the
+target, so that run's ``dist`` map is *not* a valid single-source
+result: a node absent from it may still be reachable.  The cache keeps
+such runs in a separate partial store that only later ``path`` queries
+consult, and never lets them satisfy a full lookup; the reverse
+direction — answering a path query from a cached *full* run — is
+always sound and is tried first.
 """
 
 from __future__ import annotations
@@ -307,9 +308,10 @@ class ShortestPathCache:
     source, so a closure's later lookups reuse terminal-rooted trees;
     IGMST also warms every member of N ∪ S before a large ΔH round.
 
-    Limited runs (``targets``/``cutoff``) are second-class citizens: they
-    live in a separate store keyed by their limits and can never answer a
-    full query (see :meth:`sssp_limited`).
+    The early-exit runs of a source-rooted :meth:`path` are
+    second-class citizens: they live in a separate partial store that
+    only later :meth:`path` queries consult, and can never answer a
+    full query.
 
     Path rules.  A path not covered by a stored tree of its source
     comes from one of two rules, fixed at construction:
@@ -335,11 +337,10 @@ class ShortestPathCache:
     def __init__(self, graph: Graph, *, source_rooted: bool = False):
         self._graph = graph
         self._store: Dict[Node, Entry] = {}
-        #: limited plain runs, keyed (source, frozenset(targets)|None,
-        #: cutoff)
-        self._partial_store: Dict[Tuple, Entry] = {}
+        #: early-exit runs of path(), keyed (source, target)
+        self._partial_store: Dict[Tuple[Node, Node], Entry] = {}
         #: partial keys per source, for coverage lookups
-        self._partial_index: Dict[Node, List[Tuple]] = {}
+        self._partial_index: Dict[Node, List[Tuple[Node, Node]]] = {}
         self._source_rooted = source_rooted
         self._version = graph.version
         self.hits = 0
@@ -392,29 +393,18 @@ class ShortestPathCache:
             "partial_entries": len(self._partial_store),
         }
 
-    def reset_stats(self) -> None:
-        self.hits = 0
-        self.misses = 0
-        self.invalidations = 0
-        self.entries_invalidated = 0
-
     def _plain_run(
-        self,
-        source: Node,
-        targets: Optional[Iterable[Node]] = None,
-        cutoff: Optional[float] = None,
+        self, source: Node, targets: Optional[Iterable[Node]] = None
     ) -> Entry:
-        """One canonical (possibly limited) run on the frozen graph."""
-        return self._graph.freeze().sssp(
-            source, targets=targets, cutoff=cutoff
-        )
+        """One canonical (possibly early-exit) run on the frozen graph."""
+        return self._graph.freeze().sssp(source, targets=targets)
 
     def sssp(self, source: Node) -> Entry:
         """Full shortest-path tree from ``source`` (memoized).
 
         Only complete, untruncated runs are stored under the plain
         ``source`` key — a partial entry for the same source (from
-        :meth:`sssp_limited`) is never promoted to answer this query.
+        :meth:`path`) is never promoted to answer this query.
         """
         self._check_version()
         entry = self._store.get(source)
@@ -425,19 +415,6 @@ class ShortestPathCache:
         else:
             self.hits += 1
         return entry
-
-    @staticmethod
-    def _partial_key(
-        source: Node,
-        targets: Optional[Iterable[Node]],
-        cutoff: Optional[float],
-    ) -> Tuple:
-        targets_key = None if targets is None else frozenset(targets)
-        return (source, targets_key, cutoff)
-
-    def _index_partial(self, source: Node, key: Tuple) -> None:
-        """Register a partial entry for coverage lookups."""
-        self._partial_index.setdefault(source, []).append(key)
 
     def _partial_covering(
         self, source: Node, target: Node
@@ -454,39 +431,6 @@ class ShortestPathCache:
             if entry is not None and target in entry[0]:
                 return entry
         return None
-
-    def sssp_limited(
-        self,
-        source: Node,
-        targets: Optional[Iterable[Node]] = None,
-        cutoff: Optional[float] = None,
-    ) -> Entry:
-        """A ``targets``/``cutoff``-limited run, memoized under its limits.
-
-        A cached *full* run for ``source`` answers any limited query (a
-        complete ``dist`` map dominates every truncation of itself), but
-        a limited result is stored only under its ``(source, targets,
-        cutoff)`` key: its ``dist`` map is incomplete, and letting it
-        satisfy a later full query would silently report reachable nodes
-        as unreachable.
-        """
-        if targets is None and cutoff is None:
-            return self.sssp(source)
-        self._check_version()
-        full = self._store.get(source)
-        if full is not None:
-            self.hits += 1
-            return full
-        key = self._partial_key(source, targets, cutoff)
-        entry = self._partial_store.get(key)
-        if entry is None:
-            self.misses += 1
-            entry = self._plain_run(source, targets=targets, cutoff=cutoff)
-            self._partial_store[key] = entry
-            self._index_partial(source, key)
-        else:
-            self.hits += 1
-        return entry
 
     def dist(self, source: Node, target: Node) -> float:
         """``minpath_G(source, target)``; INF if unreachable.
@@ -535,9 +479,9 @@ class ShortestPathCache:
         if entry is None:
             self.misses += 1
             entry = self._plain_run(source, targets=[target])
-            key = self._partial_key(source, [target], None)
+            key = (source, target)
             self._partial_store[key] = entry
-            self._index_partial(source, key)
+            self._partial_index.setdefault(source, []).append(key)
         else:
             self.hits += 1
         dist, pred = entry

@@ -1,8 +1,9 @@
 """The detailed FPGA router of Section 5.
 
 One-net-at-a-time routing with pluggable tree construction, congestion
-re-weighting, resource commitment, move-to-front re-ordering across
-≤ 20 passes, and minimum-channel-width search.
+re-weighting, resource commitment, and minimum-channel-width search.
+The move-to-front loop (≤ 20 passes) that drives the per-net router is
+:class:`repro.engine.RoutingSession`'s.
 """
 
 from .channel_width import estimate_lower_bound, minimum_channel_width
@@ -10,7 +11,7 @@ from .config import ALGORITHMS, MODES, RouterConfig
 from .congestion import CongestionModel
 from .negotiation import NEGOTIATE_ALGORITHM, NegotiationState
 from .result import NetRoute, RoutingResult, measure_route
-from .router import FPGARouter, route_circuit, steiner_candidates_near_tree
+from .router import FPGARouter, steiner_candidates_near_tree
 from .timing import SlackTable, critical_path_delay
 
 __all__ = [
@@ -28,6 +29,5 @@ __all__ = [
     "RoutingResult",
     "measure_route",
     "FPGARouter",
-    "route_circuit",
     "steiner_candidates_near_tree",
 ]

@@ -83,8 +83,7 @@ def minimum_channel_width(
         circuit's placement).
     engine:
         Routing-engine name (``serial``/``thread``/``process``); the
-        default serial engine is bit-identical to the historical
-        :class:`FPGARouter` path.
+        default serial engine is the reference loop.
     max_workers:
         Worker-pool size for the parallel engines.
     trace:

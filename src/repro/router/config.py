@@ -37,8 +37,9 @@ MODES = ("paper", "negotiate")
 
 @dataclass(frozen=True, kw_only=True)
 class RouterConfig:
-    """Tunable behaviour of :class:`repro.router.router.FPGARouter`.
+    """Tunable behaviour of a route.
 
+    A :class:`repro.engine.RoutingSession` is what a config drives.
     All fields are keyword-only: ``RouterConfig(algorithm="kmb",
     max_passes=5)``.  Positional construction was never part of the
     documented API and silently broke whenever a field was added.

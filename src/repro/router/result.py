@@ -40,12 +40,6 @@ class NetRoute:
         return max(self.pathlengths.values())
 
     @property
-    def optimal_max_pathlength(self) -> Optional[float]:
-        if not self.optimal_pathlengths:
-            return None
-        return max(self.optimal_pathlengths.values())
-
-    @property
     def num_pins(self) -> int:
         return 1 + len(self.sinks)
 

@@ -8,7 +8,9 @@ disjoint ...  We employ a net ordering scheme with a move-to-front
 heuristic: when infeasibility is encountered in routing a particular
 net, that net will be routed earlier in subsequent routing phases."
 
-The per-net tree construction is pluggable (`RouterConfig.algorithm`):
+The move-to-front loop is :class:`repro.engine.RoutingSession`'s; this
+module routes the single nets it drives.  The per-net tree
+construction is pluggable (`RouterConfig.algorithm`):
 the Steiner family for wirelength/channel-width minimization (the
 paper's headline IKMB results) or the arborescence family for
 critical-path routing (Tables 4–5), plus the ``two_pin`` decomposition
@@ -17,19 +19,13 @@ baseline standing in for CGE/SEGA/GBP.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import List, Optional, Sequence, Set
 
 from ..arborescence.dom import dom, dom_tree_graph
 from ..arborescence.djka import djka
 from ..arborescence.idom import idom
 from ..arborescence.pfa import pfa
-from ..errors import (
-    DisconnectedError,
-    GraphError,
-    NetError,
-    RoutingError,
-    UnroutableError,
-)
+from ..errors import DisconnectedError, GraphError, RoutingError
 from ..fpga.architecture import Architecture
 from ..fpga.netlist import PlacedCircuit, PlacedNet
 from ..fpga.routing_graph import RoutingResourceGraph
@@ -47,7 +43,7 @@ from ..steiner.tree import RoutingTree
 from ..steiner.zelikovsky import zel, zel_tree_graph
 from .config import RouterConfig
 from .congestion import CongestionModel
-from .result import NetRoute, RoutingResult, measure_route
+from .result import NetRoute, measure_route
 
 
 def steiner_candidates_near_tree(
@@ -139,7 +135,14 @@ def route_net_tree(
 
 
 class FPGARouter:
-    """Routes a placed circuit onto one architecture instance."""
+    """Routes the single nets of a circuit for a routing session.
+
+    A router holds one architecture and one :class:`RouterConfig`.  It
+    fixes the net order and the critical nets, and routes one net at a
+    time on the session's routing graph and shortest-path cache; the
+    session's move-to-front loop (:class:`repro.engine.RoutingSession`)
+    drives it.
+    """
 
     def __init__(self, arch: Architecture, config: Optional[RouterConfig] = None):
         self.arch = arch
@@ -192,18 +195,6 @@ class FPGARouter:
         )
         return {n.name for n in ranked[:count]}
 
-    def _route_tree_net(
-        self,
-        rrg: RoutingResourceGraph,
-        net: Net,
-        cache: ShortestPathCache,
-        algo: Optional[str] = None,
-    ) -> RoutingTree:
-        """Build one net's routing tree with the given algorithm."""
-        return route_net_tree(
-            rrg.graph, net, cache, algo or self.config.algorithm, self.config
-        )
-
     def _route_two_pin_net(
         self,
         rrg: RoutingResourceGraph,
@@ -249,85 +240,6 @@ class FPGARouter:
             graph.remove_node(net.source)
         return union
 
-    # ------------------------------------------------------------------
-    # full circuit routing
-    # ------------------------------------------------------------------
-    def route(self, circuit: PlacedCircuit) -> RoutingResult:
-        """Route every net of ``circuit``; raise :class:`UnroutableError`
-        if the move-to-front pass budget is exhausted.
-
-        Each pass restarts from a pristine routing graph with the nets
-        in the current order; nets that failed in a pass are moved to
-        the front of the next one.
-
-        ``mode="negotiate"`` replaces this loop wholesale with
-        PathFinder negotiated congestion; the engine owns that loop
-        (iteration state, trace, checkpointing), so such configs
-        delegate to a serial :class:`~repro.engine.RoutingSession` —
-        which is also what every ``mode="paper"`` engine path funnels
-        through, keeping exactly one implementation of each loop.
-        """
-        if self.config.mode == "negotiate":
-            from ..engine import RoutingSession
-
-            with RoutingSession(self.arch, self.config) as session:
-                return session.route(circuit)
-        circuit.validate(self.arch.pins_per_block)
-        cfg = self.config
-        rrg = RoutingResourceGraph(self.arch)
-        order = self._initial_order(circuit.nets)
-        critical = self._critical_names(circuit)
-
-        last_failures: Optional[int] = None
-        stall = 0
-        for pass_no in range(1, cfg.max_passes + 1):
-            if pass_no > 1:
-                rrg.reset()
-            # pins live in the graph only while their net is routed
-            rrg.detach_all_pins()
-            congestion = (
-                CongestionModel(rrg, cfg.congestion_alpha)
-                if cfg.congestion
-                else None
-            )
-            routes: List[NetRoute] = []
-            failed: List[PlacedNet] = []
-            succeeded: List[PlacedNet] = []
-            for placed in order:
-                route = self._route_one(rrg, placed, congestion, critical)
-                if route is None:
-                    failed.append(placed)
-                else:
-                    routes.append(route)
-                    succeeded.append(placed)
-            if not failed:
-                return RoutingResult(
-                    circuit=circuit.name,
-                    channel_width=self.arch.channel_width,
-                    algorithm=cfg.algorithm,
-                    passes_used=pass_no,
-                    routes=routes,
-                )
-            # move-to-front re-ordering for the next pass
-            order = failed + succeeded
-            # engineering addition: stop early if passes stop improving
-            if last_failures is not None and len(failed) >= last_failures:
-                stall += 1
-                if stall >= 3:
-                    raise UnroutableError(
-                        self.arch.channel_width,
-                        pass_no,
-                        [n.name for n in failed],
-                    )
-            else:
-                stall = 0
-            last_failures = len(failed)
-        raise UnroutableError(
-            self.arch.channel_width,
-            cfg.max_passes,
-            [n.name for n in failed],
-        )
-
     def effective_algorithm(
         self, placed: PlacedNet, critical: Optional[Set[str]]
     ) -> str:
@@ -342,15 +254,14 @@ class FPGARouter:
         rrg: RoutingResourceGraph,
         placed: PlacedNet,
         congestion: Optional[CongestionModel],
-        critical: Optional[Set[str]] = None,
-        cache: Optional[ShortestPathCache] = None,
+        critical: Optional[Set[str]],
+        cache: ShortestPathCache,
     ) -> Optional[NetRoute]:
         """Route a single net on the current graph; None on infeasibility.
 
-        ``cache`` lets the engine share one :class:`ShortestPathCache`
-        across nets and passes; omitted, a fresh per-net cache is used
-        (the seed behaviour).  Because the cache is purely memoizing and
-        version-invalidated, the two modes produce identical routes.
+        ``cache`` is the session's :class:`ShortestPathCache`, shared
+        across nets and passes; it is purely memoizing and
+        version-invalidated, so sharing it never changes a route.
         """
         net = placed.to_graph_net()
         algo = self.effective_algorithm(placed, critical)
@@ -360,8 +271,6 @@ class FPGARouter:
             if graph.degree(pin) == 0:
                 rrg.detach_pins(net.terminals)
                 return None
-        if cache is None:
-            cache = ShortestPathCache(graph, source_rooted=True)
         # record the graph-optimal pathlengths *before* routing, for the
         # pathlength-stretch metrics of Table 5
         source_dist, _ = cache.sssp(net.source)
@@ -384,7 +293,7 @@ class FPGARouter:
                     optimal_pathlengths=optimal,
                 )
                 return route
-            result = self._route_tree_net(rrg, net, cache, algo)
+            result = route_net_tree(graph, net, cache, algo, self.config)
         except (DisconnectedError, GraphError):
             rrg.detach_pins(net.terminals)
             return None
@@ -429,27 +338,3 @@ def _base_distance(
         rrg.base_weight(u, v) for u, v in zip(path, path[1:])
     )
 
-
-def route_circuit(
-    circuit: PlacedCircuit,
-    arch: Architecture,
-    config: Optional[RouterConfig] = None,
-) -> RoutingResult:
-    """Deprecated one-shot wrapper; use :func:`repro.route` instead.
-
-    Kept as a thin shim over the engine so existing callers keep
-    working: a serial :class:`~repro.engine.RoutingSession` is
-    bit-identical to the historical ``FPGARouter(arch, config).route()``
-    path.
-    """
-    import warnings
-
-    warnings.warn(
-        "route_circuit() is deprecated; use repro.route(circuit, "
-        "arch=arch, config=config) or repro.engine.RoutingSession",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    from ..engine import RoutingSession
-
-    return RoutingSession(arch, config=config).route(circuit)

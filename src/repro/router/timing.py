@@ -107,13 +107,6 @@ class SlackTable:
         """The connection's slack ratio in ``[0, 1]`` (0.0 if unknown)."""
         return self._ratios.get((net_name, sink), 0.0)
 
-    def net_max(self, net_name: str, sinks) -> float:
-        """The net's worst connection criticality (reroute ordering)."""
-        return max(
-            (self._ratios.get((net_name, s), 0.0) for s in sinks),
-            default=0.0,
-        )
-
     def __len__(self) -> int:
         return len(self._ratios)
 

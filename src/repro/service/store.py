@@ -10,7 +10,7 @@ Layout under one store root::
         checkpoint.json      # engine checkpoint while running
         result.json          # the routing result once done
         trace.json           # the engine trace of the finishing run
-        log.jsonl            # streamed trace-v3 progress events
+        log.jsonl            # streamed trace-v4 progress events
         heartbeat.json       # worker liveness stamp (not journaled)
       results/<fp>.json      # fingerprint -> job_id dedupe index
 
@@ -165,11 +165,6 @@ class JobRecord:
 
     def to_dict(self) -> Dict[str, Any]:
         return {f.name: getattr(self, f.name) for f in fields(self)}
-
-    @classmethod
-    def from_dict(cls, doc: Dict[str, Any]) -> "JobRecord":
-        names = {f.name for f in fields(cls)}
-        return cls(**{k: v for k, v in doc.items() if k in names})
 
 
 class JobStore:

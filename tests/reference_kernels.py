@@ -139,8 +139,8 @@ def multi_target_dijkstra(
 class ReferenceCache(ShortestPathCache):
     """A :class:`ShortestPathCache` whose plain runs are dict Dijkstra."""
 
-    def _plain_run(self, source, targets=None, cutoff=None):
-        return dijkstra(self.graph, source, targets=targets, cutoff=cutoff)
+    def _plain_run(self, source, targets=None):
+        return dijkstra(self.graph, source, targets=targets)
 
 
 def reference_cache(graph: Graph, source_rooted: bool = False):

@@ -17,9 +17,11 @@ from repro.analysis import (
     run_fig3_detours,
     run_fig4,
     run_table1,
+    run_table5,
     run_trace_demo,
 )
 from repro.errors import ReproError
+from repro.fpga import circuit_spec, xc4000
 
 
 class TestMetrics:
@@ -113,6 +115,19 @@ class TestDrivers:
             assert cells[("none", 4, algo)][1] == pytest.approx(0.0)
         text = result.render(published=False)
         assert "Table 1" in text
+
+    def test_table5_small(self):
+        # IKMB, PFA and IDOM each route term1@0.1 at the common width
+        result = run_table5(
+            [circuit_spec("term1")], family_builder=xc4000, fraction=0.1
+        )
+        rows = [
+            line.split() for line in result.render().splitlines()
+            if line.startswith("term1@")
+        ]
+        assert rows == [
+            ["term1@0.1", "2", "-8.05", "-5.61", "-11.86", "-8.71"]
+        ]
 
     def test_fig3(self):
         before, after = run_fig3_detours(

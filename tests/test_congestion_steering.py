@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+import repro
 from repro.fpga import (
     Architecture,
     PlacedCircuit,
@@ -16,9 +17,7 @@ from repro.fpga import (
 )
 from repro.router import (
     CongestionModel,
-    FPGARouter,
     RouterConfig,
-    route_circuit,
 )
 
 
@@ -57,7 +56,7 @@ class TestSteering:
             ("on", RouterConfig(algorithm="kmb")),
             ("off", RouterConfig(algorithm="kmb", congestion=False)),
         ):
-            result = route_circuit(circuit, arch, cfg)
+            result = repro.route(circuit, arch=arch, config=cfg)
             counts = channel_occupancy(result, arch)
             peaks[label] = max(counts.values())
         assert peaks["on"] <= peaks["off"] + 1
@@ -70,8 +69,8 @@ class TestRouterDeterminism:
         )
         arch = xc4000(circuit.rows, circuit.cols, 8)
         cfg = RouterConfig(algorithm="kmb")
-        r1 = route_circuit(circuit, arch, cfg)
-        r2 = route_circuit(circuit, arch, cfg)
+        r1 = repro.route(circuit, arch=arch, config=cfg)
+        r2 = repro.route(circuit, arch=arch, config=cfg)
         assert r1.total_wirelength == pytest.approx(r2.total_wirelength)
         assert [n.name for n in r1.routes] == [n.name for n in r2.routes]
         for a, b in zip(r1.routes, r2.routes):
@@ -83,12 +82,12 @@ class TestRouterDeterminism:
             scaled_spec(circuit_spec("9symml"), 0.2), seed=5
         )
         arch = xc4000(circuit.rows, circuit.cols, 8)
-        first = route_circuit(
-            circuit, arch, RouterConfig(algorithm="kmb")
+        first = repro.route(
+            circuit, arch=arch, config=RouterConfig(algorithm="kmb")
         ).total_wirelength
-        route_circuit(circuit, arch, RouterConfig(algorithm="pfa"))
-        again = route_circuit(
-            circuit, arch, RouterConfig(algorithm="kmb")
+        repro.route(circuit, arch=arch, config=RouterConfig(algorithm="pfa"))
+        again = repro.route(
+            circuit, arch=arch, config=RouterConfig(algorithm="kmb")
         ).total_wirelength
         assert first == pytest.approx(again)
 
@@ -101,7 +100,9 @@ class TestPinConflictScenarios:
         ]
         circuit = PlacedCircuit(name="t", rows=3, cols=3, nets=nets)
         arch = xc4000(3, 3, 4)
-        result = route_circuit(circuit, arch, RouterConfig(algorithm="kmb"))
+        result = repro.route(
+            circuit, arch=arch, config=RouterConfig(algorithm="kmb")
+        )
         assert result.complete
 
     def test_dense_block_all_pins_used(self):
@@ -115,6 +116,8 @@ class TestPinConflictScenarios:
         ]
         circuit = PlacedCircuit(name="dense", rows=3, cols=3, nets=nets)
         arch = xc4000(3, 3, 8)
-        result = route_circuit(circuit, arch, RouterConfig(algorithm="kmb"))
+        result = repro.route(
+            circuit, arch=arch, config=RouterConfig(algorithm="kmb")
+        )
         assert result.complete
         assert result.num_routed == 8

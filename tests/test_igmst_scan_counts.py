@@ -52,9 +52,9 @@ def scan_record(net, monkeypatch):
     runs = []  # (source, targets) of every canonical Dijkstra run
     plain_run = ShortestPathCache._plain_run
 
-    def recording_run(self, source, targets=None, cutoff=None):
+    def recording_run(self, source, targets=None):
         runs.append((source, None if targets is None else tuple(targets)))
-        return plain_run(self, source, targets=targets, cutoff=cutoff)
+        return plain_run(self, source, targets=targets)
 
     counters = DijkstraCounters()
     rounds = []  # one record per scan round

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import pytest
 
+import repro
 from repro.analysis import RCParameters, routing_tree_delay
 from repro.fpga import (
     circuit_spec,
@@ -22,7 +23,6 @@ from repro.io import result_from_dict, result_to_dict
 from repro.router import (
     RouterConfig,
     minimum_channel_width,
-    route_circuit,
 )
 from repro.viz import channel_occupancy, render_occupancy, render_svg
 
@@ -109,8 +109,8 @@ class TestCrossAlgorithmInvariants:
         # minimum (Table 4); give everyone slack for this invariant test
         arch = xc4000(circuit.rows, circuit.cols, width + 3)
         for algo in ("kmb", "pfa", "idom"):
-            res = route_circuit(
-                circuit, arch, RouterConfig(algorithm=algo)
+            res = repro.route(
+                circuit, arch=arch, config=RouterConfig(algorithm=algo)
             )
             seen = {}
             for route in res.routes:
@@ -124,8 +124,8 @@ class TestCrossAlgorithmInvariants:
         steiner router generally does not — both on the same device."""
         circuit, _, width, _ = pipeline
         arch = xc4000(circuit.rows, circuit.cols, width + 3)
-        pfa_res = route_circuit(
-            circuit, arch, RouterConfig(algorithm="pfa")
+        pfa_res = repro.route(
+            circuit, arch=arch, config=RouterConfig(algorithm="pfa")
         )
         violations = 0
         for route in pfa_res.routes:

@@ -6,6 +6,7 @@ import json
 
 import pytest
 
+import repro
 from repro.errors import ReproError
 from repro.fpga import circuit_spec, scaled_spec, synthesize_circuit, xc4000
 from repro.io import (
@@ -18,7 +19,7 @@ from repro.io import (
     save_circuit,
     save_result,
 )
-from repro.router import RouterConfig, route_circuit
+from repro.router import RouterConfig
 
 
 @pytest.fixture(scope="module")
@@ -31,7 +32,9 @@ def circuit():
 @pytest.fixture(scope="module")
 def result(circuit):
     arch = xc4000(circuit.rows, circuit.cols, 10)
-    return route_circuit(circuit, arch, RouterConfig(algorithm="kmb"))
+    return repro.route(
+        circuit, arch=arch, config=RouterConfig(algorithm="kmb")
+    )
 
 
 class TestCircuitRoundTrip:

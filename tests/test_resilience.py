@@ -648,10 +648,13 @@ class TestSurface:
         )
         assert result.complete
 
-    def test_trace_v1_documents_still_load(self, tmp_path):
+    @pytest.mark.parametrize("version", [1, 2, 3])
+    def test_pre_v4_trace_documents_rejected(self, tmp_path, version):
         path = tmp_path / "old-trace.json"
-        path.write_text(json.dumps({"schema": "repro.engine/trace-v1"}))
-        assert load_trace(str(path))["schema"] == "repro.engine/trace-v1"
+        schema = f"repro.engine/trace-v{version}"
+        path.write_text(json.dumps({"schema": schema}))
+        with pytest.raises(ValueError, match=schema):
+            load_trace(str(path))
 
     def test_cli_unroutable_exits_3_with_net_names(
         self, monkeypatch, capsys

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import pytest
 
+import repro
+from repro.engine import RoutingSession
 from repro.errors import RoutingError, UnroutableError
 from repro.fpga import (
     Architecture,
@@ -18,11 +20,9 @@ from repro.fpga import (
 from repro.router import (
     ALGORITHMS,
     CongestionModel,
-    FPGARouter,
     RouterConfig,
     estimate_lower_bound,
     minimum_channel_width,
-    route_circuit,
 )
 
 
@@ -108,7 +108,9 @@ class TestRouting:
     def test_tiny_circuit_routes(self):
         circuit = tiny_circuit()
         arch = xc4000(3, 3, 4)
-        result = route_circuit(circuit, arch, RouterConfig(algorithm="kmb"))
+        result = repro.route(
+            circuit, arch=arch, config=RouterConfig(algorithm="kmb")
+        )
         assert result.complete
         assert result.num_routed == 4
         for route in result.routes:
@@ -119,8 +121,8 @@ class TestRouting:
     def test_all_algorithms_route_tiny(self, algo):
         circuit = tiny_circuit()
         arch = xc4000(3, 3, 6)
-        result = route_circuit(
-            circuit, arch, RouterConfig(algorithm=algo)
+        result = repro.route(
+            circuit, arch=arch, config=RouterConfig(algorithm=algo)
         )
         assert result.complete
         assert result.algorithm == algo
@@ -128,9 +130,9 @@ class TestRouting:
     def test_unroutable_at_width_one(self, small_circuit):
         arch = xc4000(small_circuit.rows, small_circuit.cols, 1)
         with pytest.raises(UnroutableError) as exc:
-            route_circuit(
-                small_circuit, arch,
-                RouterConfig(algorithm="kmb", max_passes=3),
+            repro.route(
+                small_circuit, arch=arch,
+                config=RouterConfig(algorithm="kmb", max_passes=3),
             )
         assert exc.value.channel_width == 1
         assert exc.value.failed_nets
@@ -164,26 +166,28 @@ class TestRouting:
     def test_steiner_vs_two_pin_wirelength(self, small_circuit):
         width = 14  # generous width: both algorithms route in one pass
         arch = xc4000(small_circuit.rows, small_circuit.cols, width)
-        steiner = route_circuit(
-            small_circuit, arch, RouterConfig(algorithm="kmb")
+        steiner = repro.route(
+            small_circuit, arch=arch, config=RouterConfig(algorithm="kmb")
         )
-        two_pin = route_circuit(
-            small_circuit, arch, RouterConfig(algorithm="two_pin")
+        two_pin = repro.route(
+            small_circuit, arch=arch, config=RouterConfig(algorithm="two_pin")
         )
         assert steiner.total_wirelength < two_pin.total_wirelength
 
     def test_input_order_preserved(self):
         circuit = tiny_circuit()
         arch = xc4000(3, 3, 6)
-        result = route_circuit(
-            circuit, arch, RouterConfig(algorithm="kmb", order="input")
+        result = repro.route(
+            circuit,
+            arch=arch,
+            config=RouterConfig(algorithm="kmb", order="input"),
         )
         assert [r.name for r in result.routes] == ["a", "b", "c", "d"]
 
     def test_summary_fields(self, small_circuit):
         arch = xc4000(small_circuit.rows, small_circuit.cols, 10)
-        result = route_circuit(
-            small_circuit, arch, RouterConfig(algorithm="kmb")
+        result = repro.route(
+            small_circuit, arch=arch, config=RouterConfig(algorithm="kmb")
         )
         s = result.summary()
         assert s["routed"] == small_circuit.num_nets
@@ -204,7 +208,7 @@ class TestChannelWidthSearch:
         if w > 1:
             arch = xc4000(small_circuit.rows, small_circuit.cols, w - 1)
             with pytest.raises(UnroutableError):
-                FPGARouter(arch, cfg).route(small_circuit)
+                RoutingSession(arch, cfg).route(small_circuit)
 
     def test_w_max_exhaustion(self, small_circuit):
         with pytest.raises(RoutingError):
@@ -218,8 +222,8 @@ class TestChannelWidthSearch:
 class TestNetRoute:
     def test_route_tree_reconstruction(self, small_circuit):
         arch = xc4000(small_circuit.rows, small_circuit.cols, 10)
-        result = route_circuit(
-            small_circuit, arch, RouterConfig(algorithm="kmb")
+        result = repro.route(
+            small_circuit, arch=arch, config=RouterConfig(algorithm="kmb")
         )
         route = result.routes[0]
         tree = route.tree()
@@ -227,8 +231,8 @@ class TestNetRoute:
 
     def test_route_by_name(self, small_circuit):
         arch = xc4000(small_circuit.rows, small_circuit.cols, 10)
-        result = route_circuit(
-            small_circuit, arch, RouterConfig(algorithm="kmb")
+        result = repro.route(
+            small_circuit, arch=arch, config=RouterConfig(algorithm="kmb")
         )
         name = result.routes[3].name
         assert result.route_by_name(name).name == name
@@ -237,7 +241,7 @@ class TestNetRoute:
 
     def test_pathlength_stretch(self, small_circuit):
         arch = xc4000(small_circuit.rows, small_circuit.cols, 10)
-        result = route_circuit(
-            small_circuit, arch, RouterConfig(algorithm="djka")
+        result = repro.route(
+            small_circuit, arch=arch, config=RouterConfig(algorithm="djka")
         )
         assert result.mean_pathlength_stretch() <= 1.0 + 1e-6

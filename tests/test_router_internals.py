@@ -4,10 +4,12 @@ from __future__ import annotations
 
 import pytest
 
+import repro
 from repro.analysis.experiments import (
     _pristine_max_paths,
     run_width_table,
 )
+from repro.engine import RoutingSession
 from repro.fpga import (
     Architecture,
     RoutingResourceGraph,
@@ -19,11 +21,8 @@ from repro.fpga import (
 )
 from repro.graph import Graph
 from repro.net import Net
-from repro.router import RouterConfig, route_circuit
-from repro.router.router import (
-    FPGARouter,
-    steiner_candidates_near_tree,
-)
+from repro.router import RouterConfig
+from repro.router.router import steiner_candidates_near_tree
 from repro.steiner import kmb_tree_graph
 
 
@@ -83,8 +82,8 @@ class TestPristinePaths:
         )
         arch = xc4000(circuit.rows, circuit.cols, 8)
         pristine = _pristine_max_paths(circuit, arch)
-        result = route_circuit(
-            circuit, arch, RouterConfig(algorithm="kmb")
+        result = repro.route(
+            circuit, arch=arch, config=RouterConfig(algorithm="kmb")
         )
         for route in result.routes:
             assert route.max_pathlength >= pristine[route.name] - 1e-6
@@ -124,11 +123,11 @@ class TestStallDetection:
             scaled_spec(circuit_spec("term1"), 0.2), seed=6
         )
         arch = xc4000(circuit.rows, circuit.cols, 1)
-        router = FPGARouter(arch, RouterConfig(algorithm="kmb"))
+        session = RoutingSession(arch, RouterConfig(algorithm="kmb"))
         from repro.errors import UnroutableError
 
         with pytest.raises(UnroutableError) as exc:
-            router.route(circuit)
+            session.route(circuit)
         assert exc.value.failed_nets
         assert exc.value.passes <= 20
 
@@ -147,7 +146,7 @@ class TestStallDetection:
         ]
         circuit = PlacedCircuit(name="cut", rows=1, cols=5, nets=nets)
         arch = xc4000(1, 5, 1)
-        router = FPGARouter(arch, RouterConfig(algorithm="kmb"))
+        session = RoutingSession(arch, RouterConfig(algorithm="kmb"))
         with pytest.raises(UnroutableError) as exc:
-            router.route(circuit)
+            session.route(circuit)
         assert exc.value.passes < 20

@@ -288,7 +288,7 @@ class TestCacheKernelIsolation:
 
     def test_limited_run_never_answers_full_query(self, medium_grid):
         cache = ShortestPathCache(medium_grid, source_rooted=True)
-        cache.sssp_limited((0, 0), targets=[(1, 0)])
+        cache.path((0, 0), (1, 0))
         assert cache.stats()["partial_entries"] == 1
         dist, _ = cache.sssp((0, 0))
         assert len(dist) == medium_grid.num_nodes
@@ -337,7 +337,7 @@ class TestCanonicalPaths:
         graph, cold = self.worker_path(backend)
         warmed = ShortestPathCache(graph, source_rooted=True)
         warmed.dist(("pin", 1), ("pin", 0))
-        warmed.sssp_limited(("pin", 0), targets=[(3, 3)])
+        warmed.path(("pin", 0), (3, 3))
         assert warmed.path(("pin", 0), ("pin", 1)) == cold
 
     def test_default_rule_reverses_the_target_tree(self):

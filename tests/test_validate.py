@@ -467,10 +467,8 @@ class TestQuarantineAndRepair:
 
         original = FPGARouter._route_one
 
-        def tampered(self, rrg, placed, congestion, critical=None,
-                     cache=None):
-            route = original(self, rrg, placed, congestion,
-                             critical=critical, cache=cache)
+        def tampered(self, rrg, placed, congestion, critical, cache):
+            route = original(self, rrg, placed, congestion, critical, cache)
             if route is not None and should_tamper(placed.name):
                 return replace(route, wirelength=route.wirelength + 5.0)
             return route

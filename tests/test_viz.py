@@ -4,12 +4,13 @@ from __future__ import annotations
 
 import pytest
 
+import repro
 from repro.fpga import (
     PlacedCircuit,
     PlacedNet,
     xc4000,
 )
-from repro.router import RouterConfig, route_circuit
+from repro.router import RouterConfig
 from repro.viz import (
     channel_occupancy,
     occupancy_histogram,
@@ -28,7 +29,9 @@ def routed():
     ]
     circuit = PlacedCircuit(name="tiny", rows=3, cols=3, nets=nets)
     arch = xc4000(3, 3, 4)
-    result = route_circuit(circuit, arch, RouterConfig(algorithm="kmb"))
+    result = repro.route(
+        circuit, arch=arch, config=RouterConfig(algorithm="kmb")
+    )
     return result, arch
 
 

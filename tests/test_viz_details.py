@@ -4,8 +4,9 @@ from __future__ import annotations
 
 import pytest
 
+import repro
 from repro.fpga import PlacedCircuit, PlacedNet, xc4000
-from repro.router import RouterConfig, route_circuit
+from repro.router import RouterConfig
 from repro.viz import render_occupancy, render_svg
 from repro.viz.svg import _esc, _heat
 
@@ -18,7 +19,9 @@ def routed():
     ]
     circuit = PlacedCircuit(name="viz<&>", rows=3, cols=3, nets=nets)
     arch = xc4000(3, 3, 3)
-    return route_circuit(circuit, arch, RouterConfig(algorithm="kmb")), arch
+    return repro.route(
+        circuit, arch=arch, config=RouterConfig(algorithm="kmb")
+    ), arch
 
 
 class TestHeat:
@@ -63,8 +66,8 @@ class TestAsciiVariants:
         ]
         circuit = PlacedCircuit(name="full", rows=1, cols=2, nets=nets)
         arch = xc4000(1, 2, 1)
-        result = route_circuit(
-            circuit, arch, RouterConfig(algorithm="kmb")
+        result = repro.route(
+            circuit, arch=arch, config=RouterConfig(algorithm="kmb")
         )
         text = render_occupancy(result, arch)
         assert "#" in text
